@@ -81,7 +81,6 @@ def _cmd_futaki(args) -> int:
             spec.pl_function,
             R,
             kmax=args.kmax,
-            threads=args.threads,
         )
         report.update(res.to_json_dict())
         _write_report(report, args.out, args.no_meta)
@@ -238,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, quad: bool = False):
         p.add_argument("--out", help="write the JSON report to this path")
         p.add_argument("--no-meta", action="store_true", help="omit the timestamp")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for lattice walks")
         if quad:
             p.add_argument("--quad-depth", type=int, default=12)
             p.add_argument("--quad-ratio", default="1/2")

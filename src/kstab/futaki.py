@@ -116,13 +116,11 @@ def futaki_closed_form(
 # lattice-count oracle
 # ---------------------------------------------------------------------------
 
-def weighted_count_dk(
-    rs: RootSystem, P: RationalPolytope, k: int, threads: int = 1
-) -> Fraction:
+def weighted_count_dk(rs: RootSystem, P: RationalPolytope, k: int) -> Fraction:
     """d_k: dimension of sections at level k, by direct lattice enumeration."""
     _require_match(rs, P)
     total = 0
-    for lam in dilated_lattice_points(P, k, threads=threads):
+    for lam in dilated_lattice_points(P, k):
         total += weyl_eval(rs, lam)
     return Fraction(total, rs.denom)
 
@@ -150,7 +148,6 @@ def weighted_weight_wk(
     f: PiecewiseAffine,
     R,
     k: int,
-    threads: int = 1,
 ) -> Fraction:
     """w_k: total weight sum_lambda q(lambda) k (R - f(lambda/k)) / denom."""
     _require_match(rs, P)
@@ -159,7 +156,7 @@ def weighted_weight_wk(
     if k % m:
         raise ValueError("k=%d is not a multiple of the admissible modulus %d" % (k, m))
     total = Fraction(0)
-    for lam in dilated_lattice_points(P, k, threads=threads):
+    for lam in dilated_lattice_points(P, k):
         kf = max(
             sum(a_j * l for a_j, l in zip(a, lam)) + k * b for a, b in f.pieces
         )
@@ -173,7 +170,6 @@ def wk_via_lift(
     f: PiecewiseAffine,
     R,
     k: int,
-    threads: int = 1,
 ) -> Fraction:
     """w_k recomputed as a lattice count over the lifted polytope.
 
@@ -195,9 +191,9 @@ def wk_via_lift(
     Q = lift_polytope(P, f, R)
     n = P.dim
     total = 0
-    for mu in dilated_lattice_points(Q, k, threads=threads):
+    for mu in dilated_lattice_points(Q, k):
         total += weyl_eval(rs, mu[:n])
-    return Fraction(total, rs.denom) - weighted_count_dk(rs, P, k, threads=threads)
+    return Fraction(total, rs.denom) - weighted_count_dk(rs, P, k)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +269,6 @@ def ehrhart_fit(
     f: PiecewiseAffine,
     R,
     samples: Sequence[int] | None = None,
-    threads: int = 1,
 ) -> EhrhartFit:
     """Fit d(k) and w(k) exactly from lattice sums and extract F0, F1.
 
@@ -293,8 +288,8 @@ def ehrhart_fit(
         raise ValueError("need at least N + n + 3 distinct sample dilations")
     if any(k % m for k in ks):
         raise ValueError("all samples must be multiples of the admissible modulus %d" % m)
-    d_vals = [weighted_count_dk(rs, P, k, threads=threads) for k in ks]
-    w_vals = [weighted_weight_wk(rs, P, f, R, k, threads=threads) for k in ks]
+    d_vals = [weighted_count_dk(rs, P, k) for k in ks]
+    w_vals = [weighted_weight_wk(rs, P, f, R, k) for k in ks]
 
     deg_d, deg_w = N + n, N + n + 1
     d_coeffs = interpolate_coefficients(
@@ -367,7 +362,6 @@ def futaki_cross_check(
     f: PiecewiseAffine,
     R,
     kmax: int | None = None,
-    threads: int = 1,
 ) -> FutakiReport:
     """Run both routes; the oracle is repeated at a shifted R.
 
@@ -385,8 +379,8 @@ def futaki_cross_check(
         count = max(N + n + 3, kmax // m)
         return [m * t for t in range(1, count + 1)]
 
-    fit = ehrhart_fit(rs, P, f, R, samples=sample_list(R), threads=threads)
-    fit_shift = ehrhart_fit(rs, P, f, R + 1, samples=sample_list(R + 1), threads=threads)
+    fit = ehrhart_fit(rs, P, f, R, samples=sample_list(R))
+    fit_shift = ehrhart_fit(rs, P, f, R + 1, samples=sample_list(R + 1))
     agreement = closed == fit.F1 == fit_shift.F1
     return FutakiReport(
         vol_W=volume_w(rs, P),

@@ -229,18 +229,6 @@ class _PerturbedPotential:
         return self._base.hessian(x) + self._eps * np.asarray(self._bump.hessian(x))
 
 
-def potential_eval(u: SymplecticPotential, x) -> float:
-    return u.value(x)
-
-
-def hessian(u: SymplecticPotential, x) -> np.ndarray:
-    return u.hessian(x)
-
-
-def hessian_inverse(u: SymplecticPotential, x) -> np.ndarray:
-    return u.hessian_inverse(x)
-
-
 def interior_grid(P: RationalPolytope, count: int) -> list[tuple[float, ...]]:
     """Deterministic strictly interior sample points."""
     if P.dim == 1:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .polynomial import MultivariatePolynomial, as_fraction
 
@@ -36,50 +36,47 @@ class GeometryError(ValueError):
 # exact linear algebra helpers
 # ---------------------------------------------------------------------------
 
-def _det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination over the rationals."""
-    n = len(rows)
+def _row_reduce(
+    rows: Sequence[Sequence], ncols: int | None = None
+) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Gauss-Jordan elimination over the rationals.
+
+    Brings the first ``ncols`` columns (default: all) to reduced row echelon
+    form with unit pivots; later columns, such as a right-hand side, ride
+    along. Returns the reduced rows, the pivot columns in order, and the
+    determinant of the rows restricted to the first ``ncols`` columns (0
+    unless that block is square and nonsingular).
+    """
     a = [[as_fraction(x) for x in row] for row in rows]
+    m = len(a)
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
     det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return det
-
-
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    a = [[as_fraction(x) for x in row] for row in rows]
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if a[r][col] != 0), None)
-        if pivot is None:
+    for col in range(ncols):
+        top = len(pivots)
+        p = next((r for r in range(top, m) if a[r][col] != 0), None)
+        if p is None:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
+        if p != top:
+            a[top], a[p] = a[p], a[top]
+            det = -det
+        piv = a[top][col]
+        det *= piv
+        prow = a[top] = [x / piv for x in a[top]]
         for r in range(m):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(n):
-                    a[r][c] -= f * a[rank][c]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+            f = a[r][col]
+            if r != top and f != 0:
+                a[r] = [x - f * y for x, y in zip(a[r], prow)]
+        pivots.append(col)
+    if not m == ncols == len(pivots):
+        det = Fraction(0)
+    return a, pivots, det
+
+
+def _det(rows: Sequence[Sequence]) -> Fraction:
+    """Exact determinant of a square matrix."""
+    return _row_reduce(rows)[2]
 
 
 def affine_rank(points: Sequence[Point]) -> int:
@@ -87,59 +84,24 @@ def affine_rank(points: Sequence[Point]) -> int:
     if len(points) <= 1:
         return 0
     p0 = points[0]
-    return matrix_rank([[x - y for x, y in zip(p, p0)] for p in points[1:]])
+    return len(_row_reduce([[x - y for x, y in zip(p, p0)] for p in points[1:]])[1])
 
 
-def solve_unique(rows, rhs):
-    """Solve a square linear system; return None when singular."""
-    n = len(rows)
-    a = [[as_fraction(x) for x in row] + [as_fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    return tuple(a[r][n] / a[r][r] for r in range(n))
+def _normal_from_span(diffs: Sequence[Sequence], n: int) -> list[Fraction] | None:
+    """A nonzero vector orthogonal to n-1 span vectors in dimension n.
 
-
-def invert_matrix(rows) -> list[list[Fraction]]:
-    n = len(rows)
-    a = [[as_fraction(x) for x in row] + [Fraction(i == r) for i in range(n)]
-         for r, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise GeometryError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def _normal_from_span(diffs: Sequence[Point], n: int) -> tuple[Fraction, ...]:
-    """Generalized cross product: a vector orthogonal to n-1 span vectors.
-
-    Returns the zero vector when the span is rank deficient.
+    Read off the single free column of the reduced rows; None when the span
+    vectors are rank deficient.
     """
-    if not diffs:
-        if n != 1:
-            raise GeometryError("empty span only defines a normal in dimension 1")
-        return (Fraction(1),)
-    w = []
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in diffs]
-        w.append((-1) ** j * _det(minor))
-    return tuple(w)
+    a, pivots, _ = _row_reduce(diffs, n)
+    if len(pivots) != n - 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    w = [Fraction(0)] * n
+    w[free] = Fraction(1)
+    for row, p in zip(a, pivots):
+        w[p] = -row[free]
+    return w
 
 
 def primitivize(vec: Sequence) -> IntVec:
@@ -156,21 +118,24 @@ def primitivize(vec: Sequence) -> IntVec:
     return tuple(v // g for v in ints)
 
 
-def unimodular_complete_last_row(v: Sequence[int]) -> list[list[int]]:
-    """A GL(n, Z) matrix whose last row is the primitive vector v.
+def unimodular_complete_last_row(v: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """A GL(n, Z) matrix U whose last row is the primitive vector v, and U^-1.
 
-    Built Hermite-style: integer column operations reduce v to a unit vector,
-    and the inverse of the accumulated operation has v as its last row.
+    Built Hermite-style: integer column operations V reduce v to a unit
+    vector, v V = e_n, so U = V^-1 has v as its last row. U is accumulated
+    from the inverse row operations alongside V.
     """
     n = len(v)
     w = [int(x) for x in v]
     if math.gcd(*(abs(x) for x in w)) != 1:
         raise GeometryError("normal vector is not primitive")
     V = [[int(i == j) for j in range(n)] for i in range(n)]  # right operations
+    U = [[int(i == j) for j in range(n)] for i in range(n)]  # their inverse, on the left
 
     def col_addmul(dst: int, src: int, q: int) -> None:
         for r in range(n):
             V[r][dst] -= q * V[r][src]
+        U[src] = [a + q * b for a, b in zip(U[src], U[dst])]
         w[dst] -= q * w[src]
 
     while True:
@@ -186,21 +151,15 @@ def unimodular_complete_last_row(v: Sequence[int]) -> list[list[int]]:
     if p != n - 1:
         for r in range(n):
             V[r][p], V[r][n - 1] = V[r][n - 1], V[r][p]
+        U[p], U[n - 1] = U[n - 1], U[p]
         w[p], w[n - 1] = w[n - 1], w[p]
     if w[n - 1] == -1:
         for r in range(n):
             V[r][n - 1] = -V[r][n - 1]
+        U[n - 1] = [-a for a in U[n - 1]]
         w[n - 1] = 1
-    U = [[int(x) for x in row] for row in invert_matrix(V)]
     assert tuple(U[n - 1]) == tuple(int(x) for x in v)
-    return U
-
-
-def _pairs_lcm(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
+    return U, V
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +171,8 @@ def _hull_facets(points: list[Point], n: int) -> list[Halfspace]:
     for subset in combinations(range(len(points)), n):
         base = points[subset[0]]
         diffs = [tuple(points[i][c] - base[c] for c in range(n)) for i in subset[1:]]
-        if diffs and matrix_rank(diffs) != n - 1:
-            continue
         w = _normal_from_span(diffs, n)
-        if all(x == 0 for x in w):
+        if w is None:
             continue
         wp = primitivize(w)
         c = Fraction(sum(a * b for a, b in zip(wp, base)))
@@ -230,27 +187,26 @@ def _hull_facets(points: list[Point], n: int) -> list[Halfspace]:
 def _enumerate_vertices(facets: list[Halfspace], n: int) -> list[Point]:
     verts: set[Point] = set()
     for subset in combinations(facets, n):
-        sol = solve_unique([list(f[0]) for f in subset], [f[1] for f in subset])
-        if sol is None:
+        a, pivots, _ = _row_reduce([list(v) + [c] for v, c in subset], n)
+        if len(pivots) < n:
             continue
+        sol = tuple(row[n] for row in a)
         if all(
             sum(a * b for a, b in zip(v, sol)) >= c for v, c in facets
         ):
-            verts.add(tuple(sol))
+            verts.add(sol)
     return sorted(verts)
 
 
 def _check_bounded(facets: list[Halfspace], n: int) -> None:
     normals = [f[0] for f in facets]
-    if matrix_rank(normals) < n:
+    if len(_row_reduce(normals)[1]) < n:
         raise GeometryError("halfspace intersection is unbounded (normals do not span)")
     # A nontrivial pointed recession cone has an extreme ray cut out by n-1
     # linearly independent active constraints; scan all candidates.
     for subset in combinations(normals, n - 1):
-        if subset and matrix_rank(subset) != n - 1:
-            continue
-        d = _normal_from_span([tuple(map(Fraction, s)) for s in subset], n)
-        if all(x == 0 for x in d):
+        d = _normal_from_span(subset, n)
+        if d is None:
             continue
         for ray in (d, tuple(-x for x in d)):
             if all(sum(a * b for a, b in zip(v, ray)) >= 0 for v in normals):
@@ -309,7 +265,6 @@ class RationalPolytope:
         if not vertices or affine_rank(vertices) < n:
             raise GeometryError("halfspace intersection is empty or lower-dimensional")
         facets = _hull_facets(vertices, n)
-        vertices = _enumerate_vertices(facets, n)
         return cls(n, tuple(facets), tuple(vertices))
 
     # -- basic queries -------------------------------------------------------
@@ -400,10 +355,7 @@ class FacetChart:
 
     def pullback_polynomial(self, h: MultivariatePolynomial) -> MultivariatePolynomial:
         """h composed with the inverse chart, as a polynomial on the image."""
-        n = len(self.matrix)
-        cols = [[Fraction(self.inverse[r][c]) for c in range(n - 1)] for r in range(n)]
-        shift = [Fraction(self.inverse[r][n - 1]) * self.offset for r in range(n)]
-        return h.substitute_affine(cols, shift)
+        return h.substitute_affine(*self.unmap_affine_data())
 
     def unmap_affine_data(self) -> tuple[list[list[Fraction]], list[Fraction]]:
         n = len(self.matrix)
@@ -418,8 +370,7 @@ def facet_chart(P: RationalPolytope, facet_index: int) -> FacetChart:
         raise GeometryError("facet charts need ambient dimension >= 2")
     v, c = P.facets[facet_index]
     c = as_fraction(c)
-    U = unimodular_complete_last_row(v)
-    Uinv = [[int(x) for x in row] for row in invert_matrix(U)]
+    U, Uinv = unimodular_complete_last_row(v)
     image_pts = []
     for p in P.facet_vertices(facet_index):
         y = [sum(Fraction(a) * b for a, b in zip(row, p)) for row in U]
@@ -446,9 +397,7 @@ def facet_measure(P: RationalPolytope, facet_index: int) -> Fraction:
 # lattice point enumeration
 # ---------------------------------------------------------------------------
 
-def dilated_lattice_points(
-    P: RationalPolytope, k: int, threads: int = 1
-) -> list[IntVec]:
+def dilated_lattice_points(P: RationalPolytope, k: int) -> list[IntVec]:
     """Integer points of the dilate k*P, in lexicographic order.
 
     Walks bounding-box slabs over the leading coordinates and intersects the
@@ -486,32 +435,14 @@ def dilated_lattice_points(
         for t in range(box[depth][0], box[depth][1] + 1):
             walk(prefix + [t], depth + 1, out)
 
-    if threads > 1 and n >= 2 and box[0][1] >= box[0][0]:
-        from concurrent.futures import ThreadPoolExecutor
-
-        slabs = list(range(box[0][0], box[0][1] + 1))
-
-        def run(t0: int) -> list[IntVec]:
-            chunk: list[IntVec] = []
-            walk([t0], 1, chunk)
-            return chunk
-
-        out: list[IntVec] = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(run, slabs):
-                out.extend(chunk)  # slab order is fixed, merge deterministic
-        return out
     out: list[IntVec] = []
     walk([], 0, out)
     return out
 
 
-def lattice_points(P: RationalPolytope, k: int, threads: int = 1) -> list[Point]:
+def lattice_points(P: RationalPolytope, k: int) -> list[Point]:
     """Points of closure(P) intersected with (1/k) Z^n, lexicographic."""
-    return [
-        tuple(Fraction(c, k) for c in pt)
-        for pt in dilated_lattice_points(P, k, threads=threads)
-    ]
+    return [tuple(Fraction(c, k) for c in pt) for pt in dilated_lattice_points(P, k)]
 
 
 def facet_lattice_count(P: RationalPolytope, facet_index: int, k: int) -> int:
@@ -623,7 +554,7 @@ class PiecewiseAffine:
         """lcm of all coefficient denominators (the global denominator m)."""
         dens = [b.denominator for _, b in self.pieces]
         dens += [x.denominator for a, _ in self.pieces for x in a]
-        return _pairs_lcm(dens)
+        return math.lcm(*dens)
 
     def scale(self, c) -> "PiecewiseAffine":
         c = as_fraction(c)

@@ -1,6 +1,7 @@
 """Hulls, lattice walks, facet charts and transforms, all exact."""
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +21,7 @@ from kstab.polytope import (
     pl_cells,
     transform,
     triangulate,
+    unimodular_complete_last_row,
 )
 from conftest import slanted_facet_index
 
@@ -112,6 +114,88 @@ def test_hv_round_trip_random(points):
     assert Q.vertices == P.vertices
 
 
+# -- exact elimination kernel -------------------------------------------------
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations (no elimination)."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def minor_rank(rows):
+    """Size of the largest nonsingular square minor."""
+    m, k = len(rows), len(rows[0])
+    for size in range(min(m, k), 0, -1):
+        for rs in combinations(range(m), size):
+            for cs in combinations(range(k), size):
+                if leibniz_det([[rows[r][c] for c in cs] for r in rs]) != 0:
+                    return size
+    return 0
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+# zeros are frequent so that pivots need row swaps
+_entries = st.builds(
+    Fraction, st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 2, 3]), st.sampled_from([1, 1, 2, 3])
+)
+
+
+@st.composite
+def _systems(draw):
+    """An m x k rational matrix, mostly square, sometimes with a dependent row, and a rhs."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.one_of(st.just(k), st.integers(1, 4)))
+    rows = [[draw(_entries) for _ in range(k)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        s, t = draw(_entries), draw(_entries)
+        rows[-1] = [s * x + t * y for x, y in zip(rows[0], rows[m - 2])]
+    return rows, [draw(_entries) for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_row_reduce_matches_independent_references(system):
+    from kstab.polytope import _det, _row_reduce
+
+    rows, rhs = system
+    m, k = len(rows), len(rows[0])
+    _, pivots, det = _row_reduce(rows)
+    assert len(pivots) == minor_rank(rows)
+    if m != k:
+        assert det == 0
+        return
+    assert det == _det(rows) == leibniz_det(rows)
+    reduced, pivots, _ = _row_reduce([row + [b] for row, b in zip(rows, rhs)], k)
+    assert (len(pivots) == k) == (det != 0)
+    if det == 0:
+        return
+    x = [[row[k]] for row in reduced]
+    assert matmul(rows, x) == [[b] for b in rhs]
+    eye = [[Fraction(i == j) for j in range(k)] for i in range(k)]
+    reduced, _, _ = _row_reduce([row + e for row, e in zip(rows, eye)], k)
+    assert matmul(rows, [row[k:] for row in reduced]) == eye
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=4))
+def test_unimodular_completion_returns_its_inverse(v):
+    assume(math.gcd(*v) == 1)
+    U, V = unimodular_complete_last_row(v)
+    n = len(v)
+    assert U[-1] == v
+    assert matmul(U, V) == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 # -- lattice points ---------------------------------------------------------
 
 def test_lattice_points_interval(interval_12):
@@ -139,12 +223,6 @@ def test_lattice_walk_matches_brute_force(unit_square, triangle_23, simplex_235)
     for P in (unit_square, triangle_23, simplex_235):
         for k in (1, 2, 3):
             assert dilated_lattice_points(P, k) == brute_force_dilated_points(P, k)
-
-
-def test_lattice_walk_threads_deterministic(triangle_23):
-    assert dilated_lattice_points(triangle_23, 5, threads=3) == dilated_lattice_points(
-        triangle_23, 5
-    )
 
 
 def test_ehrhart_polynomiality(unit_square, triangle_23):
