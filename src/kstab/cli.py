@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .futaki import AmplenessError, futaki_cross_check, futaki_closed_form, volume_w, average_scalar
+from .futaki import AmplenessError, average_scalar, closed_form_report, futaki_cross_check, volume_w
 from .mabuchi import (
     GradedQuadratureSpec,
     SymplecticPotential,
@@ -88,19 +88,10 @@ def _cmd_futaki(args) -> int:
         print("F1_oracle = %s" % format_fraction(res.F1_oracle))
         print("agreement = %s" % res.agreement)
         return 0 if res.agreement else 1
-    f1 = futaki_closed_form(spec.root_system, spec.polytope, spec.pl_function)
-    report.update(
-        {
-            "vol_W": format_fraction(volume_w(spec.root_system, spec.polytope)),
-            "a": format_fraction(average_scalar(spec.root_system, spec.polytope)),
-            "F1_closed": format_fraction(f1),
-            "F1_oracle": None,
-            "oracle_details": None,
-            "agreement": None,
-        }
-    )
+    res = closed_form_report(spec.root_system, spec.polytope, spec.pl_function)
+    report.update(res.to_json_dict())
     _write_report(report, args.out, args.no_meta)
-    print("F1_closed = %s" % format_fraction(f1))
+    print("F1_closed = %s" % format_fraction(res.F1_closed))
     return 0
 
 

@@ -22,7 +22,7 @@ package's primary self-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -80,36 +80,39 @@ def volume_w(rs: RootSystem, P: RationalPolytope) -> Fraction:
     return integral_polytope(dh_weight(rs), P)
 
 
-def average_scalar(rs: RootSystem, P: RationalPolytope) -> Fraction:
-    """Average scalar curvature: the same for every metric in the class."""
+def _volume_and_average(rs: RootSystem, P: RationalPolytope) -> tuple[Fraction, Fraction]:
     _require_match(rs, P)
     _require_positive_chamber(P)
     if not P.is_integer:
         raise GeometryError("the boundary term needs an integer polytope")
     p = dh_weight(rs)
-    q1 = dh_weight_gradient_sum(rs)
-    bulk = integral_polytope(q1, P)
-    bd = boundary_integral(p, P)
-    return 2 * (bulk + bd / 2) / integral_polytope(p, P)
+    vol = integral_polytope(p, P)
+    bulk = integral_polytope(dh_weight_gradient_sum(rs), P)
+    return vol, 2 * (bulk + boundary_integral(p, P) / 2) / vol
+
+
+def average_scalar(rs: RootSystem, P: RationalPolytope) -> Fraction:
+    """Average scalar curvature: the same for every metric in the class."""
+    return _volume_and_average(rs, P)[1]
+
+
+def closed_form_report(
+    rs: RootSystem, P: RationalPolytope, f: PiecewiseAffine
+) -> FutakiReport:
+    """Vol_W, a and F1 from one set of closed-form integrals; no oracle."""
+    vol, a = _volume_and_average(rs, P)
+    p = dh_weight(rs)
+    bracket = integral_pl_poly(
+        f, dh_weight_gradient_sum(rs) * (1 / QN1_PFG_RATIO) - p * a, P
+    ) + boundary_integral_pl_poly(f, p, P)
+    return FutakiReport(vol_W=vol, a=a, F1_closed=-bracket / (2 * vol))
 
 
 def futaki_closed_form(
     rs: RootSystem, P: RationalPolytope, f: PiecewiseAffine
 ) -> Fraction:
     """Exact Futaki invariant of the degeneration encoded by convex PL f."""
-    _require_match(rs, P)
-    _require_positive_chamber(P)
-    if not P.is_integer:
-        raise GeometryError("the boundary term needs an integer polytope")
-    p = dh_weight(rs)
-    q1 = dh_weight_gradient_sum(rs)
-    a = average_scalar(rs, P)
-    bracket = (
-        integral_pl_poly(f, q1, P) / QN1_PFG_RATIO
-        + boundary_integral_pl_poly(f, p, P)
-        - a * integral_pl_poly(f, p, P)
-    )
-    return -bracket / (2 * integral_polytope(p, P))
+    return closed_form_report(rs, P, f).F1_closed
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +151,16 @@ def weighted_weight_wk(
     f: PiecewiseAffine,
     R,
     k: int,
+    *,
+    modulus: int | None = None,
 ) -> Fraction:
-    """w_k: total weight sum_lambda q(lambda) k (R - f(lambda/k)) / denom."""
+    """w_k: total weight sum_lambda q(lambda) k (R - f(lambda/k)) / denom.
+
+    Pass ``modulus`` if ``admissible_modulus(f, P, R)`` is known already.
+    """
     _require_match(rs, P)
     R = as_fraction(R)
-    m = admissible_modulus(f, P, R)
+    m = admissible_modulus(f, P, R) if modulus is None else modulus
     if k % m:
         raise ValueError("k=%d is not a multiple of the admissible modulus %d" % (k, m))
     total = Fraction(0)
@@ -289,7 +297,7 @@ def ehrhart_fit(
     if any(k % m for k in ks):
         raise ValueError("all samples must be multiples of the admissible modulus %d" % m)
     d_vals = [weighted_count_dk(rs, P, k) for k in ks]
-    w_vals = [weighted_weight_wk(rs, P, f, R, k) for k in ks]
+    w_vals = [weighted_weight_wk(rs, P, f, R, k, modulus=m) for k in ks]
 
     deg_d, deg_w = N + n, N + n + 1
     d_coeffs = interpolate_coefficients(
@@ -337,9 +345,9 @@ class FutakiReport:
     vol_W: Fraction
     a: Fraction
     F1_closed: Fraction
-    F1_oracle: Fraction | None
-    oracle_details: EhrhartFit | None
-    agreement: bool | None
+    F1_oracle: Fraction | None = None
+    oracle_details: EhrhartFit | None = None
+    agreement: bool | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -369,24 +377,18 @@ def futaki_cross_check(
     R + 1 and both leading extractions must coincide with the closed form.
     """
     R = as_fraction(R)
-    closed = futaki_closed_form(rs, P, f)
+    closed = closed_form_report(rs, P, f)
     N, n = rs.num_positive_roots, rs.rank
-
-    def sample_list(Rv) -> list[int] | None:
-        if kmax is None:
-            return None
-        m = admissible_modulus(f, P, Rv)
-        count = max(N + n + 3, kmax // m)
-        return [m * t for t in range(1, count + 1)]
-
-    fit = ehrhart_fit(rs, P, f, R, samples=sample_list(R))
-    fit_shift = ehrhart_fit(rs, P, f, R + 1, samples=sample_list(R + 1))
-    agreement = closed == fit.F1 == fit_shift.F1
-    return FutakiReport(
-        vol_W=volume_w(rs, P),
-        a=average_scalar(rs, P),
-        F1_closed=closed,
+    samples = None
+    if kmax is not None:
+        # R and R + 1 share a denominator, hence the modulus.
+        m = admissible_modulus(f, P, R)
+        samples = [m * t for t in range(1, max(N + n + 3, kmax // m) + 1)]
+    fit = ehrhart_fit(rs, P, f, R, samples=samples)
+    fit_shift = ehrhart_fit(rs, P, f, R + 1, samples=samples)
+    return replace(
+        closed,
         F1_oracle=fit.F1,
         oracle_details=fit,
-        agreement=agreement,
+        agreement=closed.F1_closed == fit.F1 == fit_shift.F1,
     )

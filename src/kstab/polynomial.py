@@ -7,6 +7,7 @@ rejected at construction so no rounding can sneak into an exact pipeline.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -269,29 +270,10 @@ class MultivariatePolynomial:
         for row in matrix:
             if len(row) != m:
                 raise ValueError("ragged substitution matrix")
-        lines = [
-            MultivariatePolynomial.affine([as_fraction(a) for a in row], as_fraction(s))
-            for row, s in zip(matrix, shift)
-        ]
-        # Cache powers of each substituted coordinate line.
-        powers: list[list[MultivariatePolynomial]] = [
-            [MultivariatePolynomial.constant(m, 1)] for _ in range(self.nvars)
-        ]
-
-        def power(i: int, e: int) -> MultivariatePolynomial:
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * lines[i])
-            return cache[e]
-
-        result = MultivariatePolynomial.zero(m)
-        for exp, coef in self._terms.items():
-            term = MultivariatePolynomial.constant(m, coef)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-            result = result + term
-        return result
+        coeffs, base, den = _pullback(self, matrix, shift)
+        return MultivariatePolynomial(
+            m, {_unpack(k, base, m): Fraction(c, den) for k, c in coeffs.items()}
+        )
 
     def scale_vars(self, factors) -> "MultivariatePolynomial":
         """Substitute x_i -> factors[i] * x_i without expansion.
@@ -331,6 +313,74 @@ class MultivariatePolynomial:
         for item in data.get("terms", []):
             terms[tuple(int(e) for e in item["exp"])] = as_fraction(item["coef"])
         return cls(nvars, terms)
+
+
+# -- the integer pullback kernel --------------------------------------------
+
+def _times_line(p: dict[int, int], line: list[tuple[int, int]]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    get = out.get
+    for k2, c2 in line:
+        for k1, c1 in p.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
+def _unpack(key: int, base: int, m: int) -> Exponent:
+    return tuple(key // base**j % base for j in range(m))
+
+
+def _pullback(h: MultivariatePolynomial, matrix, shift) -> tuple[dict[int, int], int, int]:
+    """h(shift + matrix y) = sum(c * y^e) / den over ints; returns (coeffs, base, den).
+
+    The key of y^e in ``coeffs`` is sum(e_j base^j) with base = deg h + 1, so no
+    exponent carries and multiplying monomials adds keys. One denominator L makes every
+    line integral; a term of degree |a| is scaled by L^(deg h - |a|), so all share den.
+    Terms are grouped by leading exponent (nested Horner), so each group's sum is
+    formed once; the last variable multiplies into cached powers of its line.
+    """
+    if not h._terms:
+        return {}, 1, 1
+    deg = max(map(sum, h._terms))
+    base = deg + 1
+    matrix = [[as_fraction(a) for a in row] for row in matrix]
+    shift = [as_fraction(s) for s in shift]
+    L = math.lcm(*(a.denominator for row in matrix for a in row), *(s.denominator for s in shift))
+    lines = []
+    for row, s in zip(matrix, shift):
+        line = [(base**j, a.numerator * (L // a.denominator)) for j, a in enumerate(row) if a]
+        lines.append(line + [(0, s.numerator * (L // s.denominator))] if s else line)
+    cden = math.lcm(*(c.denominator for c in h._terms.values()))
+    terms = [(e, c.numerator * (cden // c.denominator) * L ** (deg - sum(e)))
+             for e, c in h._terms.items()]
+    if not lines:
+        return {0: terms[0][1]}, base, cden * L**deg
+    *upper, last = lines
+    powers = [{0: 1}]
+
+    def expand(group: list[tuple[Exponent, int]], i: int) -> dict[int, int]:
+        out: dict[int, int] = {}
+        get = out.get
+        if i == len(upper):
+            for exp, c in group:
+                while len(powers) <= exp[i]:
+                    powers.append(_times_line(powers[-1], last))
+                for k, v in powers[exp[i]].items():
+                    out[k] = get(k, 0) + c * v
+            return out
+        by_exp: dict[int, list[tuple[Exponent, int]]] = {}
+        for term in group:
+            by_exp.setdefault(term[0][i], []).append(term)
+        for e in range(max(by_exp), -1, -1):
+            out = _times_line(out, upper[i])
+            get = out.get
+            if e in by_exp:
+                for k, c in expand(by_exp[e], i + 1).items():
+                    out[k] = get(k, 0) + c
+        return out
+
+    return expand(terms, 0), base, cden * L**deg
 
 
 # Short alias used heavily inside the package.

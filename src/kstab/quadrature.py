@@ -1,13 +1,13 @@
 """Exact and graded numerical integration over polytopes.
 
-The exact kernel is the standard-simplex monomial formula
-
-    integral over the simplex of x^a  =  (prod a_i!) / (n + |a|)!
-
-reached by triangulating the polytope and pulling every integrand back with
-an exact affine substitution. Boundary integrals use unimodular facet charts,
-so the canonical facet measure becomes plain Lebesgue measure one dimension
-down and everything stays rational.
+Exact integrals triangulate the polytope and pull the integrand back to the
+standard simplex, where the integral of y^a is (prod a_i!) / (n + |a|)!. The
+pullback (``polynomial._pullback``) runs over Python ints, with coefficients
+and substituted lines over one common denominator, monomials packed into int
+keys and nested Horner expansion; each simplex then builds a single Fraction.
+Boundary integrals use unimodular facet charts, so the canonical facet
+measure becomes plain Lebesgue measure one dimension down and everything
+stays rational.
 
 For integrands with logarithmic boundary singularities a graded composite
 Gauss rule is provided: the polytope is sliced into pyramids over its facets
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polynomial import MultivariatePolynomial, as_fraction
+from .polynomial import MultivariatePolynomial, _pullback, as_fraction
 from .polytope import (
     GeometryError,
     PiecewiseAffine,
@@ -58,15 +58,6 @@ def pairwise_sum(values: Sequence[float]) -> float:
 # exact integration
 # ---------------------------------------------------------------------------
 
-def simplex_monomial_integral(exponents: Sequence[int]) -> Fraction:
-    """Integral of x^a over the standard simplex {x >= 0, sum x <= 1}."""
-    n = len(exponents)
-    num = 1
-    for e in exponents:
-        num *= math.factorial(e)
-    return Fraction(num, math.factorial(n + sum(exponents)))
-
-
 def integral_over_simplex(h: MultivariatePolynomial, simplex: Sequence) -> Fraction:
     """Exact integral of a polynomial over a simplex given by n+1 vertices."""
     base = [as_fraction(x) for x in simplex[0]]
@@ -75,11 +66,19 @@ def integral_over_simplex(h: MultivariatePolynomial, simplex: Sequence) -> Fract
     det = _det([[cols[i][j] for j in range(n)] for i in range(n)])
     if det == 0:
         return Fraction(0)
-    pulled = h.substitute_affine(cols, base)
-    total = Fraction(0)
-    for exp, coef in pulled.terms.items():
-        total += coef * simplex_monomial_integral(exp)
-    return abs(det) * total
+    coeffs, radix, den = _pullback(h, cols, base)
+    # int_simplex y^a = a! / (n + |a|)!; scale[|a|] puts it over fact[-1] = (n + deg h)!
+    fact = [math.factorial(j) for j in range(n + radix)]
+    scale = [fact[-1] // fact[n + d] for d in range(radix)]
+    total = 0
+    for key, c in coeffs.items():
+        d = 0
+        for _ in range(n):
+            key, e = divmod(key, radix)
+            c *= fact[e]
+            d += e
+        total += c * scale[d]
+    return abs(det) * Fraction(total, den * fact[-1])
 
 
 def integral_polytope(h: MultivariatePolynomial, P: RationalPolytope) -> Fraction:

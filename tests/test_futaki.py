@@ -61,6 +61,27 @@ def test_futaki_closed_form_values(rs_a1, interval_12, f_identity, f_kink):
     assert futaki_closed_form(rs_a1, interval_12, f_kink) == Fraction(-35, 108)
 
 
+@pytest.mark.parametrize(
+    "series, rank, F1",
+    [
+        ("A", 3, Fraction(-15757592721, 44757968696)),
+        ("B", 2, Fraction(-6440251, 22232315)),
+        ("G2", 2, Fraction(-761779450, 2303358309)),
+        ("A", 4, Fraction(-927548177806026622, 2321746741262111163)),
+    ],
+    ids=["A3", "B2", "G2", "A4"],
+)
+def test_closed_form_on_unit_cubes(series, rank, F1):
+    """f = max(x_i) on [1,2]^rank; the A4 value took minutes by expansion."""
+    cube = RationalPolytope.from_vertices(
+        [[1 + ((m >> i) & 1) for i in range(rank)] for m in range(2**rank)]
+    )
+    f = PiecewiseAffine.from_pieces(
+        [(tuple(int(i == j) for j in range(rank)), 0) for i in range(rank)]
+    )
+    assert futaki_closed_form(build_classical(series, rank), cube, f) == F1
+
+
 def test_futaki_constant_vanishes(rs_a1, rs_a2, interval_12, interval_13, square_11_22):
     for rs, P in [
         (rs_a1, interval_12),

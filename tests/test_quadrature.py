@@ -19,9 +19,9 @@ from kstab.quadrature import (
     integral_pl_poly,
     integral_polytope,
     pairwise_sum,
-    simplex_monomial_integral,
 )
 from conftest import slanted_facet_index
+from expand_reference import simplex_monomial_integral
 
 
 def binomial(n, k):
