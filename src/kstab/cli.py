@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .futaki import AmplenessError, average_scalar, closed_form_report, futaki_cross_check, volume_w
+from .futaki import AmplenessError, _volume_and_average, closed_form_report, futaki_cross_check
 from .mabuchi import (
     GradedQuadratureSpec,
     SymplecticPotential,
@@ -187,8 +187,7 @@ def _cmd_scalar(args) -> int:
         spec.polytope,
         qspec,
     )
-    a = average_scalar(spec.root_system, spec.polytope)
-    vol = volume_w(spec.root_system, spec.polytope)
+    vol, a = _volume_and_average(spec.root_system, spec.polytope)
     expected = float(a * vol)
     ok = abs(integral - expected) <= max(args.tol, 10 * err)
     report = {

@@ -17,13 +17,16 @@ interpolates them exactly as polynomials in k, and reads
     F(k) = w_k / (k d_k) = F0 + F1 / k + ...   =>   F1 = (BC - AD) / C^2
 
 from the leading coefficients. Exact agreement of the two routes is the
-package's primary self-check.
+package's primary self-check. The count fit d(k) = C k^(N+n) + D k^(N+n-1)
++ ... also carries the weighted volume and the average scalar curvature,
+Vol_W = C denom and a = 2 D / C, so a cross-check compares F1, Vol_W and a.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .polynomial import as_fraction, format_fraction
@@ -156,6 +159,9 @@ def weighted_weight_wk(
 ) -> Fraction:
     """w_k: total weight sum_lambda q(lambda) k (R - f(lambda/k)) / denom.
 
+    With L the lcm of the denominators of f, every L k f(lambda/k) =
+    max_i (<L a_i, lambda> + k L b_i) is an integer, so the walk sums
+    sum q and sum q L k f as Python ints and builds one Fraction at the end.
     Pass ``modulus`` if ``admissible_modulus(f, P, R)`` is known already.
     """
     _require_match(rs, P)
@@ -163,13 +169,14 @@ def weighted_weight_wk(
     m = admissible_modulus(f, P, R) if modulus is None else modulus
     if k % m:
         raise ValueError("k=%d is not a multiple of the admissible modulus %d" % (k, m))
-    total = Fraction(0)
+    L = f.denominator_lcm
+    pieces = [(tuple(int(L * x) for x in a), int(k * L * b)) for a, b in f.pieces]
+    sum_q = sum_qf = 0
     for lam in dilated_lattice_points(P, k):
-        kf = max(
-            sum(a_j * l for a_j, l in zip(a, lam)) + k * b for a, b in f.pieces
-        )
-        total += weyl_eval(rs, lam) * (k * R - kf)
-    return total / rs.denom
+        q = weyl_eval(rs, lam)
+        sum_q += q
+        sum_qf += q * max(sum(map(mul, a, lam)) + kb for a, kb in pieces)
+    return (k * R * sum_q - Fraction(sum_qf, L)) / rs.denom
 
 
 def wk_via_lift(
@@ -277,18 +284,21 @@ def ehrhart_fit(
     f: PiecewiseAffine,
     R,
     samples: Sequence[int] | None = None,
+    *,
+    modulus: int | None = None,
 ) -> EhrhartFit:
     """Fit d(k) and w(k) exactly from lattice sums and extract F0, F1.
 
     Samples must be distinct multiples of the admissible modulus; defaults to
     the first N + n + 3 of them. Held-out samples are predicted exactly or
-    the fit is rejected.
+    the fit is rejected. Pass ``modulus`` if ``admissible_modulus(f, P, R)``
+    is known already.
     """
     _require_match(rs, P)
     _require_positive_chamber(P)
     R = as_fraction(R)
     N, n = rs.num_positive_roots, rs.rank
-    m = admissible_modulus(f, P, R)
+    m = admissible_modulus(f, P, R) if modulus is None else modulus
     if samples is None:
         samples = [m * t for t in range(1, N + n + 4)]
     ks = sorted(int(k) for k in samples)
@@ -371,24 +381,27 @@ def futaki_cross_check(
     R,
     kmax: int | None = None,
 ) -> FutakiReport:
-    """Run both routes; the oracle is repeated at a shifted R.
+    """Run both routes and compare F1, Vol_W and a.
 
-    F1 must not depend on the headroom constant R, so the fit runs at R and
-    R + 1 and both leading extractions must coincide with the closed form.
+    ``agreement`` holds when the oracle's F1 equals the closed form's and the
+    leading coefficients C, D of the count fit d(k) reproduce the closed
+    form's Vol_W = C denom and a = 2 D / C. The fit is not repeated at R + 1:
+    w_k(R + 1) = w_k(R) + k d_k by definition, so it could only return the
+    same F1.
     """
     R = as_fraction(R)
     closed = closed_form_report(rs, P, f)
     N, n = rs.num_positive_roots, rs.rank
+    m = admissible_modulus(f, P, R)
     samples = None
     if kmax is not None:
-        # R and R + 1 share a denominator, hence the modulus.
-        m = admissible_modulus(f, P, R)
         samples = [m * t for t in range(1, max(N + n + 3, kmax // m) + 1)]
-    fit = ehrhart_fit(rs, P, f, R, samples=samples)
-    fit_shift = ehrhart_fit(rs, P, f, R + 1, samples=samples)
+    fit = ehrhart_fit(rs, P, f, R, samples=samples, modulus=m)
     return replace(
         closed,
         F1_oracle=fit.F1,
         oracle_details=fit,
-        agreement=closed.F1_closed == fit.F1 == fit_shift.F1,
+        agreement=closed.F1_closed == fit.F1
+        and closed.vol_W == fit.C * rs.denom
+        and closed.a == 2 * fit.D / fit.C,
     )

@@ -1,5 +1,6 @@
 """Futaki invariants: closed forms, lattice oracles, and their exact match."""
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from kstab.polytope import PiecewiseAffine, RationalPolytope, transform
 from kstab.quadrature import boundary_integral, integral_polytope, integral_pl_poly, boundary_integral_pl_poly
 from kstab.rootsystem import QN1_PFG_RATIO, build_classical, dh_weight, dh_weight_gradient_sum
+from kstab import futaki
 from kstab.futaki import (
     AmplenessError,
     admissible_modulus,
@@ -157,6 +159,16 @@ def test_r_shift_moves_f0_only(rs_a1, interval_12, f_identity):
     assert fit4.F0 - fit3.F0 == 1
 
 
+@pytest.mark.parametrize("series", ["A", "B", "G2"])
+def test_r_shift_keeps_f1_on_boxes(square_11_22, f_max_xy, series):
+    """w_k(R + 1) = w_k(R) + k d_k, so futaki_cross_check fits at R only."""
+    rs = build_classical(series, 2)
+    fit3 = ehrhart_fit(rs, square_11_22, f_max_xy, 3)
+    fit4 = ehrhart_fit(rs, square_11_22, f_max_xy, 4)
+    assert fit3.F1 == fit4.F1
+    assert fit4.F0 - fit3.F0 == 1
+
+
 def test_wk_via_lift_base_case(rs_a1, interval_12):
     f0 = PiecewiseAffine.constant(1, 0)
     assert wk_via_lift(rs_a1, interval_12, f0, 1, 1) == 5  # k R d_k with d_1 = 5
@@ -191,6 +203,23 @@ def test_cross_check_suite(rs_a1, rs_a2, interval_12, interval_13, square_11_22,
         report = futaki_cross_check(rs, P, f, R)
         assert report.agreement is True
         assert report.F1_closed == report.F1_oracle
+
+
+@pytest.mark.parametrize("field", ["vol_W", "a"])
+def test_cross_check_agreement_covers_volume_and_average(
+    monkeypatch, rs_a1, interval_12, f_identity, field
+):
+    """A closed form that is off in Vol_W or a alone fails the cross-check."""
+    real = futaki.closed_form_report
+
+    def off_by_one(rs, P, f):
+        report = real(rs, P, f)
+        return replace(report, **{field: getattr(report, field) + 1})
+
+    monkeypatch.setattr(futaki, "closed_form_report", off_by_one)
+    report = futaki_cross_check(rs_a1, interval_12, f_identity, 3)
+    assert report.F1_closed == report.F1_oracle
+    assert report.agreement is False
 
 
 def test_report_serialization_round_trip(rs_a1, interval_12, f_identity):
