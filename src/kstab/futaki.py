@@ -54,6 +54,11 @@ from .rootsystem import (
 )
 
 
+# Bounding-box lattice points ehrhart_fit may walk over all its dilates: the A3
+# cube takes ~8e3, the A4 hypercube ~4e5; a rational kink can take ~1e11.
+MAX_WALK_POINTS = 5_000_000
+
+
 class AmplenessError(ValueError):
     """The moment polytope leaves the open positive chamber."""
 
@@ -291,8 +296,9 @@ def ehrhart_fit(
 
     Samples must be distinct multiples of the admissible modulus; defaults to
     the first N + n + 3 of them. Held-out samples are predicted exactly or
-    the fit is rejected. Pass ``modulus`` if ``admissible_modulus(f, P, R)``
-    is known already.
+    the fit is rejected. Walks over more than MAX_WALK_POINTS bounding-box
+    lattice points are refused up front. Pass ``modulus`` if
+    ``admissible_modulus(f, P, R)`` is known already.
     """
     _require_match(rs, P)
     _require_positive_chamber(P)
@@ -306,6 +312,16 @@ def ehrhart_fit(
         raise ValueError("need at least N + n + 3 distinct sample dilations")
     if any(k % m for k in ks):
         raise ValueError("all samples must be multiples of the admissible modulus %d" % m)
+    box = P.bounding_box()
+    points = sum(
+        math.prod(max(0, math.floor(hi * k) - math.ceil(lo * k) + 1) for lo, hi in box)
+        for k in ks
+    )
+    if points > MAX_WALK_POINTS:
+        raise ValueError(
+            "the oracle would walk ~%.1e bounding-box lattice points over %d dilates"
+            " (admissible modulus %d); the limit is %.0e" % (points, len(ks), m, MAX_WALK_POINTS)
+        )
     d_vals = [weighted_count_dk(rs, P, k) for k in ks]
     w_vals = [weighted_weight_wk(rs, P, f, R, k, modulus=m) for k in ks]
 

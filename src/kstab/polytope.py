@@ -273,10 +273,6 @@ class RationalPolytope:
         v, c = self.facets[facet_index]
         return sum(a * as_fraction(b) for a, b in zip(v, x)) - c
 
-    def contains(self, x: Sequence, strict: bool = False) -> bool:
-        vals = [self.support_value(i, x) for i in range(len(self.facets))]
-        return all(v > 0 for v in vals) if strict else all(v >= 0 for v in vals)
-
     def facet_vertices(self, facet_index: int) -> list[Point]:
         return [p for p in self.vertices if self.support_value(facet_index, p) == 0]
 
@@ -343,15 +339,6 @@ class FacetChart:
         ]
         y[-1] -= self.offset
         return tuple(y[:-1])
-
-    def unmap_point(self, y: Sequence) -> Point:
-        full = list(y) + [Fraction(0)]
-        full[-1] += self.offset
-        # x = U^{-1} (y + c e_n)
-        return tuple(
-            Fraction(sum(a * as_fraction(b) for a, b in zip(row, full)))
-            for row in self.inverse
-        )
 
     def pullback_polynomial(self, h: MultivariatePolynomial) -> MultivariatePolynomial:
         """h composed with the inverse chart, as a polynomial on the image."""
@@ -535,12 +522,6 @@ class PiecewiseAffine:
 
     __call__ = value
 
-    def value_float(self, x: Sequence[float]) -> float:
-        return max(
-            sum(float(a) * t for a, t in zip(piece, x)) + float(b)
-            for piece, b in self.pieces
-        )
-
     def active_index(self, x: Sequence) -> int:
         pt = [as_fraction(t) for t in x]
         vals = [
@@ -663,22 +644,31 @@ def lift_polytope(P: RationalPolytope, f: PiecewiseAffine, R) -> RationalPolytop
 
 
 def triangulate(P: RationalPolytope) -> list[list[Point]]:
-    """Exact triangulation: cone the lex-least vertex over opposite facets."""
-    n = P.dim
-    if len(P.vertices) == n + 1:
-        return [list(P.vertices)]
-    apex = P.vertices[0]
-    simplices: list[list[Point]] = []
-    for i in range(len(P.facets)):
-        if P.support_value(i, apex) == 0:
-            continue
-        if n == 1:
-            simplices.append([apex, P.facet_vertices(i)[0]])
-            continue
-        chart = facet_chart(P, i)
-        for sub in triangulate(chart.image):
-            simplices.append([apex] + [chart.unmap_point(y) for y in sub])
-    return simplices
+    """Exact pulling triangulation (De Loera-Rambau-Santos 2010, 4.3).
+
+    Each face is coned from its least vertex over its facets that miss it:
+    its intersections with P's facets one dimension down, read off P's
+    vertex-facet incidences, so no chart or hull is rebuilt.
+    """
+    n, verts = P.dim, P.vertices
+    if len(verts) == n + 1:
+        return [list(verts)]
+    on = [
+        frozenset(j for j, v in enumerate(verts) if P.support_value(i, v) == 0)
+        for i in range(len(P.facets))
+    ]
+
+    def cone(face: frozenset, d: int) -> list[tuple[int, ...]]:
+        if len(face) == d + 1:
+            return [tuple(sorted(face))]
+        apex = min(face)
+        out = []
+        for sub in {face & s for s in on if apex not in s}:
+            if affine_rank([verts[j] for j in sub]) == d - 1:
+                out += [(apex,) + t for t in cone(sub, d - 1)]
+        return out
+
+    return [[verts[j] for j in t] for t in cone(frozenset(range(len(verts))), n)]
 
 
 def transform(P: RationalPolytope, g: Sequence[Sequence[int]]) -> RationalPolytope:

@@ -7,7 +7,8 @@ and substituted lines over one common denominator, monomials packed into int
 keys and nested Horner expansion; each simplex then builds a single Fraction.
 Boundary integrals use unimodular facet charts, so the canonical facet
 measure becomes plain Lebesgue measure one dimension down and everything
-stays rational.
+stays rational; with a piecewise affine factor f they chart the facets of
+f's ambient ``pl_cells`` that lie in the boundary.
 
 For integrands with logarithmic boundary singularities a graded composite
 Gauss rule is provided: the polytope is sliced into pyramids over its facets
@@ -90,6 +91,12 @@ def integral_polytope(h: MultivariatePolynomial, P: RationalPolytope) -> Fractio
     )
 
 
+def _facet_integral(h: MultivariatePolynomial, Q: RationalPolytope, j: int) -> Fraction:
+    """Exact integral of h over facet j of Q, canonical boundary measure."""
+    chart = facet_chart(Q, j)
+    return integral_polytope(chart.pullback_polynomial(h), chart.image)
+
+
 def boundary_integral(h: MultivariatePolynomial, P: RationalPolytope) -> Fraction:
     """Exact integral of a polynomial over the boundary, canonical measure.
 
@@ -102,15 +109,8 @@ def boundary_integral(h: MultivariatePolynomial, P: RationalPolytope) -> Fractio
     if h.nvars != P.dim:
         raise ValueError("polynomial/polytope dimension mismatch")
     if P.dim == 1:
-        return sum(
-            (h.evaluate(P.facet_vertices(i)[0]) for i in range(len(P.facets))),
-            Fraction(0),
-        )
-    total = Fraction(0)
-    for i in range(len(P.facets)):
-        chart = facet_chart(P, i)
-        total += integral_polytope(chart.pullback_polynomial(h), chart.image)
-    return total
+        return sum((h.evaluate(v) for v in P.vertices), Fraction(0))
+    return sum((_facet_integral(h, P, i) for i in range(len(P.facets))), Fraction(0))
 
 
 def integral_pl_poly(
@@ -134,26 +134,23 @@ def integral_pl_poly(
 def boundary_integral_pl_poly(
     f: PiecewiseAffine, h: MultivariatePolynomial, P: RationalPolytope
 ) -> Fraction:
-    """Exact integral of f * h over the boundary with the canonical measure."""
+    """Exact integral of f * h over the boundary with the canonical measure.
+
+    The cells of ``pl_cells(P, f)`` tile the boundary by their facets that
+    share a primitive normal and offset, hence the canonical measure, with a
+    facet of P; each is integrated against its cell's active piece.
+    """
     if not P.is_integer:
         raise GeometryError("boundary integrals need an integer polytope")
     if P.dim == 1:
-        return sum(
-            (
-                f.value(P.facet_vertices(i)[0]) * h.evaluate(P.facet_vertices(i)[0])
-                for i in range(len(P.facets))
-            ),
-            Fraction(0),
-        )
+        return sum((f.value(v) * h.evaluate(v) for v in P.vertices), Fraction(0))
+    on_boundary = set(P.facets)
     total = Fraction(0)
-    for i in range(len(P.facets)):
-        chart = facet_chart(P, i)
-        cols, shift = chart.unmap_affine_data()
-        total += integral_pl_poly(
-            f.compose_affine(cols, shift),
-            chart.pullback_polynomial(h),
-            chart.image,
-        )
+    for i, cell in pl_cells(P, f):
+        fh = MultivariatePolynomial.affine(*f.pieces[i]) * h
+        for j, facet in enumerate(cell.facets):
+            if facet in on_boundary:
+                total += _facet_integral(fh, cell, j)
     return total
 
 

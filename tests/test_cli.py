@@ -1,5 +1,6 @@
 """Command-line front end: spec parsing, reports, exit codes, determinism."""
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,31 @@ def test_positivity_error_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     assert main(["futaki", "--spec", str(path)]) == 2
     assert "positive chamber" in capsys.readouterr().err
+
+
+def test_oracle_refuses_an_oversized_walk(tmp_path, capsys):
+    """A rational kink drives the admissible modulus to 9,246 on this triangle."""
+    spec = {
+        "schema": "kstab/1",
+        "root_system": {"series": "A", "rank": 2},
+        "polytope": {"vertices": [["1", "1"], ["3", "4"], ["4", "4"]]},
+        "pl_function": {
+            "pieces": [
+                {"a": ["1", "3/2"], "b": "-17/6"},
+                {"a": ["2/3", "-2"], "b": "4/3"},
+                {"a": ["-1", "-4/3"], "b": "4/3"},
+            ]
+        },
+        "R": "3",
+    }
+    path = tmp_path / "kinked_triangle.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    assert main(["futaki", "--spec", str(path), "--oracle", "--no-meta"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "1.6e+11 bounding-box lattice points" in err
+    assert "modulus 9246" in err
 
 
 def test_malformed_spec_exits_2(tmp_path, capsys):
