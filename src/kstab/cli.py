@@ -57,6 +57,13 @@ def _write_report(report: dict, out_path: str | None, no_meta: bool) -> None:
         sys.stdout.write(text)
 
 
+def _grid_size(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
 def _quad_spec(args) -> GradedQuadratureSpec:
     return GradedQuadratureSpec(
         depth=args.quad_depth,
@@ -131,6 +138,8 @@ def _build_potential(spec, potential_path: str | None) -> SymplecticPotential:
                 data = _json.load(fh)
         except (OSError, _json.JSONDecodeError) as exc:
             raise SpecError("cannot read potential file %s: %s" % (potential_path, exc))
+        if not isinstance(data, dict):
+            raise SpecError("potential file %s: expected a JSON object" % potential_path)
         canonical = bool(data.get("canonical", True))
         perturbation = (
             parse_polynomial(data["perturbation"], "potential.perturbation")
@@ -252,14 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential", help="JSON potential file overriding the spec")
     p.add_argument("--A", default="zero", help="zero | paper | csc")
     p.add_argument("--residuals", help="write a CSV of critical-equation residuals")
-    p.add_argument("--grid", type=int, default=100)
+    p.add_argument("--grid", type=_grid_size, default=100)
     add_common(p, quad=True)
     p.set_defaults(func=_cmd_mabuchi)
 
     p = sub.add_parser("scalar", help="scalar curvature on a grid plus the average identity")
     p.add_argument("--spec", required=True)
     p.add_argument("--potential", help="JSON potential file overriding the spec")
-    p.add_argument("--grid", type=int, default=100)
+    p.add_argument("--grid", type=_grid_size, default=100)
     add_common(p, quad=True)
     p.set_defaults(func=_cmd_scalar)
 

@@ -6,6 +6,11 @@ comparisons. Polytopes are tiny at the scale this package targets (a few
 hundred vertices at most), so brute-force subset enumeration is the right
 tool and removes an entire class of robustness failures.
 
+Each constructor derives the other representation and then rederives its
+own from it. A halfspace system is bounded iff every facet of the hull of
+its vertices is one of its halfspaces (Minkowski-Weyl; Ziegler, Lectures on
+Polytopes, Thm 1.2), so no recession-cone test is needed.
+
 Facet geometry follows the lattice normalization: each facet carries the
 primitive integer inward normal v_F, the affine form l_F(x) = <v_F, x> - c_F
 is nonnegative on the polytope, and the canonical boundary measure of a facet
@@ -198,28 +203,14 @@ def _enumerate_vertices(facets: list[Halfspace], n: int) -> list[Point]:
     return sorted(verts)
 
 
-def _check_bounded(facets: list[Halfspace], n: int) -> None:
-    normals = [f[0] for f in facets]
-    if len(_row_reduce(normals)[1]) < n:
-        raise GeometryError("halfspace intersection is unbounded (normals do not span)")
-    # A nontrivial pointed recession cone has an extreme ray cut out by n-1
-    # linearly independent active constraints; scan all candidates.
-    for subset in combinations(normals, n - 1):
-        d = _normal_from_span(subset, n)
-        if d is None:
-            continue
-        for ray in (d, tuple(-x for x in d)):
-            if all(sum(a * b for a, b in zip(v, ray)) >= 0 for v in normals):
-                raise GeometryError("halfspace intersection is unbounded")
-
-
 @dataclass(frozen=True)
 class RationalPolytope:
     """Bounded full-dimensional rational polytope with both representations.
 
     ``facets`` are (primitive integer inward normal v_F, rational offset c_F)
     pairs defining l_F(x) = <v_F, x> - c_F >= 0; ``vertices`` are the extreme
-    points. Construction cross-verifies the two representations.
+    points. Either constructor rebuilds its input from the other tuple, so
+    neither holds redundant entries.
     """
 
     dim: int
@@ -246,6 +237,9 @@ class RationalPolytope:
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Sequence) -> "RationalPolytope":
+        """Polytope {x : <normal, x> >= offset}; the vertices must span and
+        the facets of their hull must all be input halfspaces (boundedness).
+        """
         cleaned: list[Halfspace] = []
         for normal, offset in halfspaces:
             prim = primitivize(normal)
@@ -260,11 +254,15 @@ class RationalPolytope:
         n = len(cleaned[0][0])
         if any(len(v) != n for v, _ in cleaned):
             raise GeometryError("halfspaces of mixed dimension")
-        _check_bounded(cleaned, n)
         vertices = _enumerate_vertices(cleaned, n)
         if not vertices or affine_rank(vertices) < n:
-            raise GeometryError("halfspace intersection is empty or lower-dimensional")
+            raise GeometryError(
+                "halfspace intersection is empty, lower-dimensional or unbounded"
+            )
         facets = _hull_facets(vertices, n)
+        # P lies in every input halfspace, so facets among them give P <= conv(V) <= P.
+        if not set(facets) <= set(cleaned):
+            raise GeometryError("halfspace intersection is unbounded")
         return cls(n, tuple(facets), tuple(vertices))
 
     # -- basic queries -------------------------------------------------------
@@ -574,14 +572,6 @@ class PiecewiseAffine:
         }
 
 
-def try_from_halfspaces(halfspaces: Sequence) -> RationalPolytope | None:
-    """from_halfspaces, but empty or lower-dimensional input gives None."""
-    try:
-        return RationalPolytope.from_halfspaces(halfspaces)
-    except GeometryError:
-        return None
-
-
 def pl_cells(P: RationalPolytope, f: PiecewiseAffine) -> list[tuple[int, RationalPolytope]]:
     """Full-dimensional cells of P on which a single piece of f is active.
 
@@ -609,9 +599,10 @@ def pl_cells(P: RationalPolytope, f: PiecewiseAffine) -> list[tuple[int, Rationa
             halfspaces.append((diff, b_j - b_i))
         if dead:
             continue
-        cell = try_from_halfspaces(halfspaces)
-        if cell is not None:
-            cells.append((i, cell))
+        try:
+            cells.append((i, RationalPolytope.from_halfspaces(halfspaces)))
+        except GeometryError:  # the piece is active on a lower-dimensional set
+            pass
     return cells
 
 

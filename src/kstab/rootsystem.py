@@ -118,6 +118,8 @@ def cartan_matrix(series: str, rank: int) -> list[list[int]]:
 
 
 def _validate_cartan(C: Sequence[Sequence[int]]) -> list[list[int]]:
+    if not isinstance(C, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in C):
+        raise RootSystemError("Cartan matrix must be a list of rows")
     n = len(C)
     M = [[int(x) for x in row] for row in C]
     if any(len(row) != n for row in M):
@@ -350,19 +352,13 @@ def f_g_fraction(rs: RootSystem) -> tuple[MultivariatePolynomial, MultivariatePo
 
 
 def dimension(rs: RootSystem, lam: Sequence[int]) -> Fraction:
-    """Dimension of the highest weight representation, q(lambda)/denom.
-
-    Evaluated factor by factor so large systems never need the expanded q.
-    """
+    """Dimension of the highest weight representation, q(lambda)/denom."""
     lam = [int(x) for x in lam]
     if len(lam) != rs.rank:
         raise ValueError("weight length does not match the rank")
     if any(x < 0 for x in lam):
         raise ValueError("dominant integral weights have nonnegative entries")
-    num = 1
-    for m in rs.positive_roots:
-        num *= sum(m) + sum(a * b for a, b in zip(m, lam))
-    return Fraction(num, rs.denom)
+    return Fraction(weyl_eval(rs, lam), rs.denom)
 
 
 def weyl_eval(rs: RootSystem, lam: Sequence[int]) -> int:

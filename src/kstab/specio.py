@@ -45,11 +45,8 @@ def parse_root_system(data, where: str = "root_system") -> RootSystem:
         except (ValueError, TypeError) as exc:
             raise SpecError("%s.m_vectors: %s" % (where, exc)) from None
     if "cartan" in data:
-        rows = data["cartan"]
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise SpecError("%s.cartan: expected a matrix" % where)
         try:
-            return build_from_cartan(rows)
+            return build_from_cartan(data["cartan"])
         except ValueError as exc:
             raise SpecError("%s.cartan: %s" % (where, exc)) from None
     if "series" in data:
@@ -90,6 +87,8 @@ def parse_polytope(data, where: str = "polytope") -> RationalPolytope:
 def parse_pl_function(data, where: str = "pl_function") -> PiecewiseAffine:
     if not isinstance(data, dict) or "pieces" not in data:
         raise SpecError("%s: expected an object with 'pieces'" % where)
+    if not isinstance(data["pieces"], list):
+        raise SpecError("%s.pieces: expected a list" % where)
     pieces = []
     for i, item in enumerate(data["pieces"]):
         try:

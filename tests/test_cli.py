@@ -2,11 +2,14 @@
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from kstab.cli import main
 from kstab.specio import SpecError, parse_jobspec
+
+REPO = Path(__file__).resolve().parent.parent
 
 SU2_SPEC = {
     "schema": "kstab/1",
@@ -101,14 +104,49 @@ def test_oracle_refuses_an_oversized_walk(tmp_path, capsys):
     assert "modulus 9246" in err
 
 
-def test_malformed_spec_exits_2(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["futaki", "--spec", str(path)]) == 2
-    path2 = tmp_path / "floaty.json"
-    path2.write_text(json.dumps(dict(SU2_SPEC, R=3.5)))
-    assert main(["futaki", "--spec", str(path2), "--oracle"]) == 2
-    assert "rationals" in capsys.readouterr().err
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects bad option values itself
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "spec, argv, message",
+    [
+        pytest.param("{not json", ["futaki"], "line 1", id="broken-json"),
+        pytest.param(dict(SU2_SPEC, R=3.5), ["futaki", "--oracle"], "rationals", id="float-R"),
+        pytest.param(
+            dict(SU2_SPEC, pl_function={"pieces": 5}),
+            ["futaki"],
+            "pl_function.pieces",
+            id="pieces-not-a-list",
+        ),
+        pytest.param(
+            dict(SU2_SPEC, root_system={"cartan": [2]}),
+            ["futaki"],
+            "root_system.cartan",
+            id="spec-cartan-not-a-matrix",
+        ),
+        pytest.param(SU2_SPEC, ["dims", "--cartan", "5", "--lambda", "1"], "Cartan", id="cartan-scalar"),
+        pytest.param(SU2_SPEC, ["dims", "--cartan", "[2]", "--lambda", "1"], "Cartan", id="cartan-flat-list"),
+        pytest.param(
+            SU2_SPEC,
+            ["scalar", "--potential", "potential.json"],
+            "potential.json",
+            id="potential-not-an-object",
+        ),
+        pytest.param(SU2_SPEC, ["scalar", "--grid", "0"], "--grid", id="grid-0"),
+    ],
+)
+def test_malformed_spec_exits_2(spec, argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    (tmp_path / "potential.json").write_text("[1, 2]")
+    if argv[0] != "dims":
+        argv = argv[:1] + ["--spec", "spec.json"] + argv[1:]
+    assert _exit_code(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_pl_function_exits_2(tmp_path):
@@ -116,6 +154,16 @@ def test_missing_pl_function_exits_2(tmp_path):
     path = tmp_path / "nopl.json"
     path.write_text(json.dumps(spec))
     assert main(["futaki", "--spec", str(path)]) == 2
+
+
+@pytest.mark.parametrize("name", ["su2_interval", "su3_square"])
+def test_shipped_reports_match_golden(name, tmp_path):
+    """The shipped specs' oracle reports, rationals and booleans, byte for byte."""
+    out = tmp_path / "report.json"
+    spec = str(REPO / "specs" / ("%s.json" % name))
+    assert main(["futaki", "--spec", spec, "--oracle", "--no-meta", "--out", str(out)]) == 0
+    golden = REPO / "tests" / "golden" / ("futaki_oracle_%s.json" % name)
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_pick_command(su2_spec, tmp_path):

@@ -23,6 +23,7 @@ from kstab.polytope import (
     triangulate,
     unimodular_complete_last_row,
 )
+import bounded_reference
 import chart_reference
 from conftest import slanted_facet_index
 
@@ -90,6 +91,12 @@ def test_degenerate_inputs_raise():
         RationalPolytope.from_halfspaces([((1, 0), 0), ((0, 1), 0)])  # unbounded
     with pytest.raises(GeometryError):
         RationalPolytope.from_halfspaces([((1,), 1), ((-1,), 1)])  # empty
+    # An unbounded strip whose vertices (0,0), (0,1/2), (1,1) span the plane:
+    # only the facet x - y >= 0 of their hull, not an input, exposes it.
+    with pytest.raises(GeometryError, match="unbounded"):
+        RationalPolytope.from_halfspaces(
+            [((0, 1), 0), ((0, -1), -1), ((1, 0), 0), ((1, -2), -1)]
+        )
 
 
 def test_hv_round_trip(unit_square, triangle_23, simplex_235):
@@ -113,6 +120,30 @@ def test_hv_round_trip_random(points):
         return
     Q = RationalPolytope.from_halfspaces(P.facets)
     assert Q.vertices == P.vertices
+
+
+@st.composite
+def halfspace_systems(draw):
+    n = draw(st.integers(1, 3))
+    normal = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    offset = st.fractions(-3, 1, max_denominator=3)  # about a quarter bounded
+    return draw(st.lists(st.tuples(normal, offset), min_size=n, max_size=n + 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(halfspace_systems())
+def test_from_halfspaces_matches_the_ray_scan(halfspaces):
+    try:
+        reference = bounded_reference.from_halfspaces(halfspaces)
+    except GeometryError:
+        reference = None
+    try:
+        P = RationalPolytope.from_halfspaces(halfspaces)
+    except GeometryError:
+        assert reference is None
+        return
+    assert reference == (list(P.facets), list(P.vertices))
+    assert RationalPolytope.from_vertices(P.vertices) == P
 
 
 # -- exact elimination kernel -------------------------------------------------
