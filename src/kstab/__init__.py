@@ -27,6 +27,8 @@ from .quadrature import (
     boundary_integral,
     boundary_integral_pl_poly,
     graded_integral,
+    graded_integral_array,
+    graded_rule,
     integral_pl_poly,
     integral_polytope,
 )

@@ -13,6 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .futaki import AmplenessError, _volume_and_average, closed_form_report, futaki_cross_check
 from .mabuchi import (
     GradedQuadratureSpec,
@@ -26,7 +28,15 @@ from .mabuchi import (
 from .pick import DEFAULT_KS, pick_check
 from .polynomial import format_fraction
 from .polytope import GeometryError
-from .rootsystem import QN1_PFG_RATIO, RootSystemError, build_classical, build_from_cartan, dimension
+from .quadrature import graded_integral_array
+from .rootsystem import (
+    QN1_PFG_RATIO,
+    RootSystemError,
+    build_classical,
+    build_from_cartan,
+    dh_weight,
+    dimension,
+)
 from .specio import SCHEMA, SpecError, load_jobspec
 
 CONVENTIONS = {
@@ -168,11 +178,11 @@ def _cmd_mabuchi(args) -> int:
     if args.residuals:
         a_fn = _resolve_a(spec.root_system, spec.polytope, args.A) or (lambda x: 0.0)
         grid = interior_grid(spec.polytope, args.grid)
+        residuals = el_residual(spec.root_system, u, a_fn, np.array(grid))
         with open(args.residuals, "w", encoding="utf-8") as fh:
             header = ",".join("x%d" % (i + 1) for i in range(spec.polytope.dim))
             fh.write(header + ",residual\n")
-            for pt in grid:
-                r = el_residual(spec.root_system, u, a_fn, pt)
+            for pt, r in zip(grid, residuals):
                 fh.write(
                     ",".join(_fmt_float(c) for c in pt) + "," + _fmt_float(r) + "\n"
                 )
@@ -184,17 +194,12 @@ def _cmd_scalar(args) -> int:
     spec = load_jobspec(args.spec)
     u = _build_potential(spec, args.potential)
     grid = interior_grid(spec.polytope, args.grid)
-    values = [scalar_curvature(spec.root_system, u, pt) for pt in grid]
-    from .quadrature import graded_integral
-    from .rootsystem import dh_weight
-
+    values = scalar_curvature(spec.root_system, u, np.array(grid))
     p = dh_weight(spec.root_system)
-    qspec = _quad_spec(args)
-    integral, err = graded_integral(
-        lambda x: scalar_curvature(spec.root_system, u, x)
-        * p.evaluate_float(list(x)),
+    integral, err = graded_integral_array(
+        lambda x: scalar_curvature(spec.root_system, u, x) * p.evaluate_float(x),
         spec.polytope,
-        qspec,
+        _quad_spec(args),
     )
     vol, a = _volume_and_average(spec.root_system, spec.polytope)
     expected = float(a * vol)

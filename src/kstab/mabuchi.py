@@ -19,19 +19,39 @@ Hessian degenerates and naive differencing falls apart. The Mabuchi energy
 is evaluated with the boundary-graded quadrature, and the variational
 identity dF_A = int (-W^{-1}(W u^{jk})_{jk} - A) du W dmu (for compactly
 supported du) gets a finite-difference cross-check.
+
+Potentials, bumps, scalar_curvature and el_residual take one point or an
+(m, n) array of points, through one code path that broadcasts over the
+leading axes: a potential builds its facet tensors v_F v_F^T, v_F^(x3) and
+v_F^(x4) once, its derivatives are einsum contractions against 1/l_F^k, and
+the positive-definiteness check is one stacked Cholesky factorization, whose
+diagonal also gives log det for the energy. mabuchi_eval evaluates its three
+integrands on whole chunks of the flattened graded rule.
+
+A, the right-hand side of the critical-point equation, is None, a preset
+name (make_a_preset) or a callable. A callable receives an (m, n) array of
+nodes, or one point of shape (n,) from el_residual, and returns m values
+(one per node) or a scalar; any other shape raises ValueError. Coordinates
+are the last axis: write x[..., 0], not x[0].
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement, permutations, product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .polynomial import MultivariatePolynomial
 from .polytope import RationalPolytope, facet_chart
-from .quadrature import GradedQuadratureSpec, graded_integral, pairwise_sum
+from .quadrature import (
+    GradedQuadratureSpec,
+    _float_chart,
+    _unmap,
+    graded_integral_array,
+    pairwise_sum,
+)
 from .rootsystem import (
     RootSystem,
     dh_weight,
@@ -53,11 +73,52 @@ class DomainError(ValueError):
     """Evaluation requested outside the open polytope."""
 
 
+def _partials(g: MultivariatePolynomial, order: int) -> list:
+    """g's nonzero partial derivatives of one order, one per multiset of
+    variables, each with the index tuples it fills."""
+    table = []
+    for combo in combinations_with_replacement(range(g.nvars), order):
+        q = g
+        for i in combo:
+            q = q.partial(i)
+        if not q.is_zero:
+            table.append((q, sorted(set(permutations(combo)))))
+    return table
+
+
+def _evaluate_partials(table: list, x: np.ndarray, order: int) -> np.ndarray:
+    """The derivative tensor of a _partials table at x, shape x.shape[:-1] + (n,)*order."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1],) * order)
+    for q, slots in table:
+        value = q.evaluate_float(x)
+        for s in slots:
+            out[(Ellipsis,) + s] = value
+    return out[()]
+
+
+def _cholesky(H: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked Cholesky factors; PotentialError names the first point where H is not PD."""
+    try:
+        return np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        n = H.shape[-1]
+        for h, pt in zip(H.reshape(-1, n, n), x.reshape(-1, n)):
+            try:
+                np.linalg.cholesky(h)
+            except np.linalg.LinAlgError:
+                raise PotentialError(
+                    "Hessian is not positive definite at %r" % (tuple(pt.tolist()),)
+                ) from None
+        raise
+
+
 class SymplecticPotential:
     """u = u_sigma + polynomial perturbation on a fixed moment polytope.
 
-    The Hessian is checked for positive definiteness on an interior probe
-    grid at construction; a violation raises PotentialError.
+    Every method takes one point or an (m, n) array of points, and returns
+    one value (matrix, tensor) or a stack of m of them. The Hessian is
+    checked for positive definiteness on an interior probe grid at
+    construction; a violation raises PotentialError.
     """
 
     def __init__(
@@ -72,144 +133,70 @@ class SymplecticPotential:
         self.polytope = polytope
         self.canonical = canonical
         self.perturbation = perturbation
-        n = polytope.dim
-        g = perturbation
-        self._g1 = [g.partial(i) for i in range(n)] if g else None
-        self._g2 = (
-            [[self._g1[i].partial(j) for j in range(n)] for i in range(n)] if g else None
-        )
-        self._g3 = (
-            [
-                [[self._g2[i][j].partial(c) for c in range(n)] for j in range(n)]
-                for i in range(n)
-            ]
-            if g
-            else None
-        )
-        self._g4 = (
-            [
-                [
-                    [
-                        [self._g3[i][j][c].partial(d) for d in range(n)]
-                        for c in range(n)
-                    ]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            if g
-            else None
-        )
-        self._facets = [
-            (np.array([float(a) for a in v]), float(c)) for v, c in polytope.facets
-        ]
+        # facet normals v_F and offsets, and the tensors v v^T, v^(x3), v^(x4)
+        V = np.array([[float(a) for a in v] for v, _ in polytope.facets])
+        self._V = V
+        self._offsets = np.array([float(c) for _, c in polytope.facets])
+        self._VV = np.einsum("fi,fj->fij", V, V)
+        self._VVV = np.einsum("fc,fij->fcij", V, self._VV)
+        self._VVVV = np.einsum("fd,fcij->fcdij", V, self._VVV)
+        g = perturbation or MultivariatePolynomial.zero(polytope.dim)
+        self._g = [_partials(g, order) for order in range(5)]
         if validate:
-            for pt in interior_grid(polytope, 9):
-                self.hessian(pt)  # raises PotentialError when not PD
+            self.hessian(np.array(interior_grid(polytope, 9)))  # raises when not PD
 
-    # -- pointwise data ------------------------------------------------------
+    def _l_values(self, x, allow_boundary: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """x as floats and l_F(x) (..., F); DomainError names the first point outside."""
+        x = np.asarray(x, dtype=float)
+        ls = np.einsum("...i,fi->...f", x, self._V) - self._offsets
+        outside = (ls < 0 if allow_boundary else ls <= 0).any(axis=-1)
+        if outside.any():
+            first = x.reshape(-1, x.shape[-1])[outside.reshape(-1).argmax()]
+            raise DomainError(
+                "point %r is outside the %s polytope"
+                % (tuple(first.tolist()), "closed" if allow_boundary else "open")
+            )
+        return x, ls
 
-    def _l_values(self, x: Sequence[float]) -> list[float]:
-        xv = np.asarray([float(t) for t in x])
-        return [float(v @ xv) - c for v, c in self._facets]
-
-    def value(self, x: Sequence[float], allow_boundary: bool = False) -> float:
-        ls = self._l_values(x)
-        tol_neg = any(l < 0 for l in ls)
-        if tol_neg or (not allow_boundary and any(l == 0 for l in ls)):
-            raise DomainError("point %r is outside the open polytope" % (x,))
-        total = 0.0
-        if self.canonical:
-            total += 0.5 * pairwise_sum([l * math.log(l) if l > 0 else 0.0 for l in ls])
-        if self.perturbation is not None:
-            total += self.perturbation.evaluate_float([float(t) for t in x])
+    def value(self, x, allow_boundary: bool = False):
+        x, ls = self._l_values(x, allow_boundary)
+        total = _evaluate_partials(self._g[0], x, 0)
+        if self.canonical:  # l log l -> 0 on the boundary
+            total = 0.5 * (ls * np.log(np.where(ls > 0, ls, 1.0))).sum(axis=-1) + total
         return total
 
-    def _require_interior(self, x: Sequence[float]) -> list[float]:
-        ls = self._l_values(x)
-        if any(l <= 0 for l in ls):
-            raise DomainError("point %r is not strictly interior" % (x,))
-        return ls
-
-    def gradient(self, x: Sequence[float]) -> np.ndarray:
-        ls = self._require_interior(x)
-        n = self.polytope.dim
-        out = np.zeros(n)
+    def gradient(self, x) -> np.ndarray:
+        x, ls = self._l_values(x)
+        out = _evaluate_partials(self._g[1], x, 1)
         if self.canonical:
-            for (v, _), l in zip(self._facets, ls):
-                out += 0.5 * v * (math.log(l) + 1.0)
-        if self.perturbation is not None:
-            out += np.array([g.evaluate_float(list(map(float, x))) for g in self._g1])
+            out = np.einsum("...f,fi->...i", 0.5 * (np.log(ls) + 1.0), self._V) + out
         return out
 
-    def hessian(self, x: Sequence[float]) -> np.ndarray:
-        ls = self._require_interior(x)
-        n = self.polytope.dim
-        H = np.zeros((n, n))
+    def hessian(self, x) -> np.ndarray:
+        x, ls = self._l_values(x)
+        H = _evaluate_partials(self._g[2], x, 2)
         if self.canonical:
-            for (v, _), l in zip(self._facets, ls):
-                H += 0.5 * np.outer(v, v) / l
-        if self.perturbation is not None:
-            xf = list(map(float, x))
-            H += np.array(
-                [[self._g2[i][j].evaluate_float(xf) for j in range(n)] for i in range(n)]
-            )
-        try:
-            np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            raise PotentialError(
-                "Hessian is not positive definite at %r" % (tuple(x),)
-            ) from None
+            H = np.einsum("...f,fij->...ij", 0.5 / ls, self._VV) + H
+        _cholesky(H, x)
         return H
 
-    def hessian_inverse(self, x: Sequence[float]) -> np.ndarray:
+    def hessian_inverse(self, x) -> np.ndarray:
         return np.linalg.inv(self.hessian(x))
 
-    def d_hessian(self, x: Sequence[float]) -> list[np.ndarray]:
-        """Third derivatives as d/dx_c of the Hessian matrix."""
-        ls = self._require_interior(x)
-        n = self.polytope.dim
-        out = [np.zeros((n, n)) for _ in range(n)]
+    def d_hessian(self, x) -> np.ndarray:
+        """Third derivatives: [..., c, i, j] is d/dx_c of the Hessian entry (i, j)."""
+        x, ls = self._l_values(x)
+        out = _evaluate_partials(self._g[3], x, 3)
         if self.canonical:
-            for (v, _), l in zip(self._facets, ls):
-                vv = np.outer(v, v)
-                for c in range(n):
-                    out[c] -= 0.5 * vv * v[c] / l**2
-        if self.perturbation is not None:
-            xf = list(map(float, x))
-            for c in range(n):
-                out[c] += np.array(
-                    [
-                        [self._g3[i][j][c].evaluate_float(xf) for j in range(n)]
-                        for i in range(n)
-                    ]
-                )
+            out = np.einsum("...f,fcij->...cij", -0.5 / ls**2, self._VVV) + out
         return out
 
-    def d2_hessian(self, x: Sequence[float]) -> list[list[np.ndarray]]:
-        """Fourth derivatives d/dx_c d/dx_d of the Hessian matrix."""
-        ls = self._require_interior(x)
-        n = self.polytope.dim
-        out = [[np.zeros((n, n)) for _ in range(n)] for _ in range(n)]
+    def d2_hessian(self, x) -> np.ndarray:
+        """Fourth derivatives: [..., c, d, i, j] is d/dx_c d/dx_d of the Hessian entry (i, j)."""
+        x, ls = self._l_values(x)
+        out = _evaluate_partials(self._g[4], x, 4)
         if self.canonical:
-            for (v, _), l in zip(self._facets, ls):
-                vv = np.outer(v, v)
-                for c in range(n):
-                    for d in range(n):
-                        out[c][d] += vv * v[c] * v[d] / l**3
-        if self.perturbation is not None:
-            xf = list(map(float, x))
-            for c in range(n):
-                for d in range(n):
-                    out[c][d] += np.array(
-                        [
-                            [
-                                self._g4[i][j][c][d].evaluate_float(xf)
-                                for j in range(n)
-                            ]
-                            for i in range(n)
-                        ]
-                    )
+            out = np.einsum("...f,fcdij->...cdij", 1.0 / ls**3, self._VVVV) + out
         return out
 
 
@@ -222,7 +209,7 @@ class _PerturbedPotential:
         self._bump = bump
         self._eps = eps
 
-    def value(self, x, allow_boundary: bool = False) -> float:
+    def value(self, x, allow_boundary: bool = False):
         return self._base.value(x, allow_boundary) + self._eps * self._bump.value(x)
 
     def hessian(self, x) -> np.ndarray:
@@ -260,38 +247,30 @@ def interior_grid(P: RationalPolytope, count: int) -> list[tuple[float, ...]]:
 @lru_cache(maxsize=None)
 def _weight_data(rs: RootSystem):
     p = dh_weight(rs)
-    q1 = dh_weight_gradient_sum(rs)
-    n = rs.rank
-    dp = [p.partial(j) for j in range(n)]
-    d2p = [[dp[j].partial(k) for k in range(n)] for j in range(n)]
-    return p, q1, dp, d2p
+    return p, dh_weight_gradient_sum(rs), _partials(p, 1), _partials(p, 2)
 
 
-def _divergence_pg(rs: RootSystem, u, x) -> float:
-    """sum_{j,k} d_j d_k (p u^{jk}) at x, assembled analytically."""
-    p, _, dp, d2p = _weight_data(rs)
-    n = rs.rank
-    xf = [float(t) for t in x]
-    pv = p.evaluate_float(xf)
-    dpv = np.array([q.evaluate_float(xf) for q in dp])
-    d2pv = np.array([[d2p[j][k].evaluate_float(xf) for k in range(n)] for j in range(n)])
-    H = u.hessian(x)
-    G = np.linalg.inv(H)
-    dH = u.d_hessian(x)
-    d2H = u.d2_hessian(x)
-    GdH = [G @ dH[c] for c in range(n)]
-    dG = [-GdH[c] @ G for c in range(n)]
-    total = 0.0
-    for j in range(n):
-        for k in range(n):
-            d2G_jk = -G @ d2H[j][k] @ G - GdH[j] @ dG[k] - GdH[k] @ dG[j]
-            total += (
-                d2pv[j, k] * G[j, k]
-                + dpv[j] * dG[k][j, k]
-                + dpv[k] * dG[j][j, k]
-                + pv * d2G_jk[j, k]
-            )
-    return total
+def _divergence_pg(rs: RootSystem, u, x: np.ndarray, pv) -> np.ndarray:
+    """sum_{j,k} d_j d_k (p u^{jk}) at x, assembled analytically; pv = p(x)."""
+    _, _, dp_table, d2p_table = _weight_data(rs)
+    dp = _evaluate_partials(dp_table, x, 1)
+    d2p = _evaluate_partials(d2p_table, x, 2)
+    G = np.linalg.inv(u.hessian(x))
+    GdH = G[..., None, :, :] @ u.d_hessian(x)  # G dH_c
+    dG = -GdH @ G[..., None, :, :]  # d_c G = -G dH_c G
+    # (d_j d_k G)_{jk}, with d_j d_k G = -G d2H_jk G - G dH_j d_k G - G dH_k d_j G
+    d2G = (
+        -np.einsum("...ja,...jkab,...bk->...jk", G, u.d2_hessian(x), G)
+        - np.einsum("...jja,...kak->...jk", GdH, dG)
+        - np.einsum("...kja,...jak->...jk", GdH, dG)
+    )
+    terms = (
+        d2p * G
+        + dp[..., :, None] * np.einsum("...kjk->...jk", dG)
+        + dp[..., None, :] * np.einsum("...jjk->...jk", dG)
+        + pv[..., None, None] * d2G
+    )
+    return terms.sum(axis=(-2, -1))
 
 
 def scalar_curvature(
@@ -299,26 +278,38 @@ def scalar_curvature(
     u,
     x,
     divergence_factor: float = SCALAR_DIVERGENCE_FACTOR,
-) -> float:
-    """S(x) for the metric encoded by u, on the open polytope."""
+):
+    """S(x) for the metric encoded by u, at a point or every row of an (m, n) array."""
     _require_match(rs, u.polytope)
     _require_positive_chamber(u.polytope)
     p, q1, _, _ = _weight_data(rs)
-    xf = [float(t) for t in x]
-    pv = p.evaluate_float(xf)
-    f_g = 2.0 * q1.evaluate_float(xf) / pv
-    return -divergence_factor * _divergence_pg(rs, u, x) / pv + f_g
+    x = np.asarray(x, dtype=float)
+    pv = p.evaluate_float(x)
+    f_g = 2.0 * q1.evaluate_float(x) / pv
+    return -divergence_factor * _divergence_pg(rs, u, x, pv) / pv + f_g
 
 
-def el_residual(rs: RootSystem, u, A, x) -> float:
+def _a_values(A: Callable, x: np.ndarray):
+    """A at the nodes x: one value per node, or one scalar for all of them."""
+    a = np.asarray(A(x), dtype=float)
+    if a.shape not in ((), x.shape[:-1]):
+        raise ValueError(
+            "A returned shape %s at nodes of shape %s; it must return one value"
+            " per node or a scalar" % (a.shape, x.shape)
+        )
+    return a
+
+
+def el_residual(rs: RootSystem, u, A, x):
     """Residual of the critical-point equation: -W^{-1}(W u^{jk})_{jk} - A."""
-    p, _, _, _ = _weight_data(rs)
-    pv = p.evaluate_float([float(t) for t in x])
-    return -_divergence_pg(rs, u, x) / pv - float(A(tuple(float(t) for t in x)))
+    p = _weight_data(rs)[0]
+    x = np.asarray(x, dtype=float)
+    pv = p.evaluate_float(x)
+    return -_divergence_pg(rs, u, x, pv) / pv - _a_values(A, x)
 
 
 def make_a_preset(rs: RootSystem, P: RationalPolytope, name: str) -> Callable:
-    """Right-hand sides for the critical-point equation.
+    """Right-hand sides for the critical-point equation, written over arrays.
 
     'zero' is the constant zero; 'paper' is (a - f_G)/2; 'csc' is
     2 (a - f_G), the choice whose critical points have S identically a under
@@ -331,8 +322,7 @@ def make_a_preset(rs: RootSystem, P: RationalPolytope, name: str) -> Callable:
     a = float(average_scalar(rs, P))
 
     def a_minus_fg(x):
-        pv = p.evaluate_float(list(x))
-        return a - 2.0 * q1.evaluate_float(list(x)) / pv
+        return a - 2.0 * q1.evaluate_float(x) / p.evaluate_float(x)
 
     if name == "paper":
         return lambda x: 0.5 * a_minus_fg(x)
@@ -369,30 +359,28 @@ def mabuchi_eval(
     A=None,
     spec: GradedQuadratureSpec | None = None,
 ) -> MabuchiResult:
-    """Graded-quadrature value of the energy functional F_A(u)."""
+    """Graded-quadrature value of the energy functional F_A(u).
+
+    A is None, a preset name (see make_a_preset) or a callable that takes an
+    (m, n) array of nodes and returns m values or one scalar.
+    """
     P = u.polytope
     _require_match(rs, P)
     _require_positive_chamber(P)
     if spec is None:
         spec = GradedQuadratureSpec()
-    p, _, _, _ = _weight_data(rs)
+    p = _weight_data(rs)[0]
     A_fn = _resolve_a(rs, P, A)
 
     def log_det_term(x):
-        H = u.hessian(x)
-        sign, logdet = np.linalg.slogdet(H)
-        if sign <= 0:
-            raise PotentialError("Hessian is not positive definite at %r" % (x,))
-        return logdet * p.evaluate_float(list(x))
+        L = _cholesky(u.hessian(x), x)
+        return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1) * p.evaluate_float(x)
 
-    bulk, bulk_err = graded_integral(log_det_term, P, spec)
+    bulk, bulk_err = graded_integral_array(log_det_term, P, spec)
 
     if P.dim == 1:
-        vals = [
-            u.value(tuple(float(c) for c in P.facet_vertices(i)[0]), allow_boundary=True)
-            * p.evaluate_float([float(c) for c in P.facet_vertices(i)[0]])
-            for i in range(len(P.facets))
-        ]
+        ends = [np.array([float(c) for c in P.facet_vertices(i)[0]]) for i in range(len(P.facets))]
+        vals = [u.value(x, allow_boundary=True) * p.evaluate_float(x) for x in ends]
         boundary, boundary_err = pairwise_sum(vals), 0.0
     else:
         if not P.is_integer:
@@ -400,19 +388,13 @@ def mabuchi_eval(
         parts, errs = [], []
         for i in range(len(P.facets)):
             chart = facet_chart(P, i)
-            cols, shift = chart.unmap_affine_data()
-            fcols = [[float(x) for x in row] for row in cols]
-            fshift = [float(x) for x in shift]
-            n = P.dim
+            cols, shift = _float_chart(chart)
 
-            def on_facet(y, fcols=fcols, fshift=fshift):
-                x = tuple(
-                    fshift[r] + sum(fcols[r][c] * y[c] for c in range(n - 1))
-                    for r in range(n)
-                )
-                return u.value(x, allow_boundary=True) * p.evaluate_float(list(x))
+            def on_facet(y, cols=cols, shift=shift):
+                x = _unmap(y, cols, shift)
+                return u.value(x, allow_boundary=True) * p.evaluate_float(x)
 
-            val, err = graded_integral(on_facet, chart.image, spec)
+            val, err = graded_integral_array(on_facet, chart.image, spec)
             parts.append(val)
             errs.append(err)
         boundary, boundary_err = pairwise_sum(parts), sum(errs)
@@ -421,11 +403,9 @@ def mabuchi_eval(
         linear, linear_err = 0.0, 0.0
     else:
         def a_term(x):
-            return float(A_fn(x)) * u.value(x, allow_boundary=True) * p.evaluate_float(
-                list(x)
-            )
+            return _a_values(A_fn, x) * u.value(x, allow_boundary=True) * p.evaluate_float(x)
 
-        linear, linear_err = graded_integral(a_term, P, spec)
+        linear, linear_err = graded_integral_array(a_term, P, spec)
 
     value = -bulk + 2.0 * boundary - linear
     error = bulk_err + 2.0 * boundary_err + linear_err
@@ -449,6 +429,7 @@ class CompactBump:
     """Product quartic bump on an axis box, C^1 and compactly supported.
 
     Each axis factor is (t - lo)^2 (hi - t)^2 inside [lo, hi], zero outside.
+    Takes one point or an (m, n) array, like SymplecticPotential.
     """
 
     def __init__(self, box: Sequence[tuple], polytope: RationalPolytope | None = None):
@@ -456,8 +437,6 @@ class CompactBump:
         if any(lo >= hi for lo, hi in self.box):
             raise ValueError("bump box must have positive extent")
         if polytope is not None:
-            from itertools import product
-
             facets = [
                 ([float(a) for a in v], float(c)) for v, c in polytope.facets
             ]
@@ -469,46 +448,45 @@ class CompactBump:
                     raise ValueError(
                         "bump support must sit strictly inside the polytope"
                     )
+        self._lo = np.array([lo for lo, _ in self.box])
+        self._hi = np.array([hi for _, hi in self.box])
 
     def _factors(self, x):
-        vals, d1, d2 = [], [], []
-        for (lo, hi), t in zip(self.box, x):
-            if t <= lo or t >= hi:
-                vals.append(0.0)
-                d1.append(0.0)
-                d2.append(0.0)
-                continue
-            a, b = t - lo, hi - t
-            vals.append(a * a * b * b)
-            d1.append(2 * a * b * b - 2 * a * a * b)
-            d2.append(2 * b * b - 8 * a * b + 2 * a * a)
-        return vals, d1, d2
+        """Axis factors and their first two derivatives, each (..., n)."""
+        x = np.asarray(x, dtype=float)
+        inside = (x > self._lo) & (x < self._hi)
+        a, b = x - self._lo, self._hi - x
+        return (
+            np.where(inside, a * a * b * b, 0.0),
+            np.where(inside, 2 * a * b * b - 2 * a * a * b, 0.0),
+            np.where(inside, 2 * b * b - 8 * a * b + 2 * a * a, 0.0),
+        )
 
-    def value(self, x) -> float:
+    def _others(self, vals, *skip):
+        """Product of the axis factors outside ``skip``."""
+        keep = [k for k in range(len(self.box)) if k not in skip]
+        return vals[..., keep].prod(axis=-1)
+
+    def value(self, x):
         vals, _, _ = self._factors(x)
-        return math.prod(vals)
+        return vals.prod(axis=-1)
 
-    def gradient(self, x):
+    def gradient(self, x) -> np.ndarray:
         vals, d1, _ = self._factors(x)
-        n = len(self.box)
-        return [
-            d1[i] * math.prod(vals[j] for j in range(n) if j != i) for i in range(n)
-        ]
+        return np.stack(
+            [d1[..., i] * self._others(vals, i) for i in range(len(self.box))], axis=-1
+        )
 
-    def hessian(self, x):
+    def hessian(self, x) -> np.ndarray:
         vals, d1, d2 = self._factors(x)
         n = len(self.box)
-        H = [[0.0] * n for _ in range(n)]
+        H = np.empty(vals.shape[:-1] + (n, n))
         for i in range(n):
             for j in range(n):
                 if i == j:
-                    H[i][i] = d2[i] * math.prod(vals[k] for k in range(n) if k != i)
+                    H[..., i, i] = d2[..., i] * self._others(vals, i)
                 else:
-                    H[i][j] = (
-                        d1[i]
-                        * d1[j]
-                        * math.prod(vals[k] for k in range(n) if k not in (i, j))
-                    )
+                    H[..., i, j] = d1[..., i] * d1[..., j] * self._others(vals, i, j)
         return H
 
 
@@ -522,9 +500,8 @@ class ScaledBump:
     def value(self, x):
         return self._c * self._bump.value(x)
 
-    def hessian(self, x):
-        H = self._bump.hessian(x)
-        return [[self._c * v for v in row] for row in H]
+    def hessian(self, x) -> np.ndarray:
+        return self._c * np.asarray(self._bump.hessian(x))
 
 
 @dataclass(frozen=True)
@@ -556,14 +533,18 @@ def variation_check(
     minus = mabuchi_eval(rs, _PerturbedPotential(u, du, -eps), A_fn, spec)
     measured = (plus.value - minus.value) / (2.0 * eps)
 
+    p = _weight_data(rs)[0]
+
     def integrand(x):
         b = du.value(x)
-        if b == 0.0:
-            return 0.0
-        p, _, _, _ = _weight_data(rs)
-        return el_residual(rs, u, A_fn, x) * b * p.evaluate_float(list(x))
+        out = np.zeros(len(x))
+        inside = b != 0.0
+        if inside.any():
+            x = x[inside]
+            out[inside] = el_residual(rs, u, A_fn, x) * b[inside] * p.evaluate_float(x)
+        return out
 
-    predicted, _ = graded_integral(integrand, P, spec)
+    predicted, _ = graded_integral_array(integrand, P, spec)
     scale = max(abs(predicted), 1e-300)
     advisory = None
     if abs(plus.value - minus.value) < 1e-9 * max(1.0, abs(plus.value)):

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 Exponent = tuple[int, ...]
 
 
@@ -37,7 +39,7 @@ class MultivariatePolynomial:
     immutable and hashable.
     """
 
-    __slots__ = ("nvars", "_terms", "_canonical")
+    __slots__ = ("nvars", "_terms", "_canonical", "_floats")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | None = None):
         if nvars < 0:
@@ -58,6 +60,7 @@ class MultivariatePolynomial:
                         clean.pop(exp, None)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_canonical", None)
+        object.__setattr__(self, "_floats", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MultivariatePolynomial is immutable")
@@ -244,19 +247,21 @@ class MultivariatePolynomial:
             total += v
         return total
 
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        if len(point) != self.nvars:
+    def evaluate_float(self, point) -> float | np.ndarray:
+        """Float value at one point, or at every row of an (m, n) array.
+
+        The float exponents and coefficients are built once per polynomial.
+        """
+        x = np.asarray(point, dtype=float)
+        if x.shape[-1:] != (self.nvars,):
             raise ValueError("point dimension mismatch")
-        if self._canonical is None:
-            self.sorted_terms()
-        total = 0.0
-        for exp, coef in self._canonical:
-            v = float(coef)
-            for x, e in zip(point, exp):
-                if e:
-                    v *= float(x) ** e
-            total += v
-        return total
+        if self._floats is None:
+            terms = self.sorted_terms()
+            exps = np.array([e for e, _ in terms], dtype=float).reshape(len(terms), self.nvars)
+            coefs = np.array([float(c) for _, c in terms])
+            object.__setattr__(self, "_floats", (exps, coefs))
+        exps, coefs = self._floats
+        return ((x[..., None, :] ** exps).prod(axis=-1) * coefs).sum(axis=-1)
 
     def substitute_affine(self, matrix: Sequence[Sequence], shift: Sequence) -> "MultivariatePolynomial":
         """Substitute x_i = shift[i] + sum_j matrix[i][j] * y_j, exactly.

@@ -13,7 +13,12 @@ f's ambient ``pl_cells`` that lie in the boundary.
 For integrands with logarithmic boundary singularities a graded composite
 Gauss rule is provided: the polytope is sliced into pyramids over its facets
 from the centroid, the radial direction is graded geometrically toward the
-boundary, and the facet factor recurses one dimension down.
+boundary, and each facet carries the rule of its chart image one dimension
+down. ``graded_rule`` flattens this into one node array (m, n) and one weight
+vector; ``graded_integral_array`` evaluates an integrand on the nodes in
+chunks of CHUNK_NODES rows and sums the weighted values with math.fsum. A
+rule's size is known from the face flags before anything is allocated, and
+more than MAX_QUADRATURE_NODES nodes per level are refused with ValueError.
 """
 from __future__ import annotations
 
@@ -42,7 +47,7 @@ class QuadratureError(ArithmeticError):
 
 
 def pairwise_sum(values: Sequence[float]) -> float:
-    """Deterministic pairwise tree reduction (order independent of workers)."""
+    """Pairwise tree reduction: the same values in the same order give the same float."""
     vals = list(values)
     if not vals:
         return 0.0
@@ -180,83 +185,154 @@ class GradedQuadratureSpec:
         return replace(self, depth=self.depth + 2, nodes=self.nodes + 1)
 
 
+# Nodes per refinement level above which graded_rule refuses, before it
+# allocates any array. The 2D default (refined to depth 14, 11 nodes per
+# cell) has 435,600 fine nodes; a cube at depth 2, 3 nodes ~1.5e6; a cube at
+# the defaults ~8.6e8.
+MAX_QUADRATURE_NODES = 2_000_000
+
+# Nodes per integrand call. It bounds the integrand's temporaries whatever
+# the size of the rule.
+CHUNK_NODES = 4096
+
+
 @lru_cache(maxsize=None)
-def _gauss_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     xs, ws = np.polynomial.legendre.leggauss(nodes)
-    return tuple(xs.tolist()), tuple(ws.tolist())
+    xs.flags.writeable = ws.flags.writeable = False  # shared by every caller
+    return xs, ws
 
 
-def _graded_interval(
-    fn: Callable[[float], float], a: float, b: float, spec: GradedQuadratureSpec
-) -> float:
-    """Composite Gauss on a mesh graded geometrically toward both endpoints."""
+def _interval_rule(
+    a: float, b: float, spec: GradedQuadratureSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss on [a, b], graded geometrically toward both endpoints."""
     xs, ws = _gauss_rule(spec.nodes)
     r = float(spec.ratio)
     mid = 0.5 * (a + b)
-    cuts = [a]
-    for j in range(spec.depth, 0, -1):
-        cuts.append(a + (mid - a) * r**j)
-    cuts.append(mid)
-    for j in range(1, spec.depth + 1):
-        cuts.append(b - (b - a) * 0.5 * r**j)
-    cuts.append(b)
-    pieces = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi <= lo:
-            continue
-        half = 0.5 * (hi - lo)
-        center = 0.5 * (hi + lo)
-        pieces.append(
-            half * pairwise_sum([w * fn(center + half * x) for x, w in zip(xs, ws)])
-        )
-    return pairwise_sum(pieces)
+    cuts = np.array(
+        [a]
+        + [a + (mid - a) * r**j for j in range(spec.depth, 0, -1)]
+        + [mid]
+        + [b - (b - a) * 0.5 * r**j for j in range(1, spec.depth + 1)]
+        + [b]
+    )
+    lo, hi = cuts[:-1], cuts[1:]
+    keep = hi > lo
+    half, center = 0.5 * (hi - lo)[keep], 0.5 * (hi + lo)[keep]
+    return (center[:, None] + half[:, None] * xs).ravel(), (half[:, None] * ws).ravel()
 
 
-def _checked(fn: Callable, label: str = "integrand") -> Callable:
-    def wrapper(*args):
-        v = fn(*args)
-        if not math.isfinite(v):
-            raise QuadratureError(
-                "%s returned a non-finite value at %r" % (label, args)
-            )
-        return float(v)
-
-    return wrapper
+def _unmap(y: np.ndarray, cols: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """x = shift + cols y for every row y of an (m, n - 1) array of chart coordinates."""
+    return shift + sum(y[:, c, None] * cols[:, c] for c in range(cols.shape[1]))
 
 
-def _graded_polytope(
-    fn: Callable[[tuple[float, ...]], float],
-    P: RationalPolytope,
-    spec: GradedQuadratureSpec,
-) -> float:
-    n = P.dim
-    if n == 1:
+def _float_chart(chart) -> tuple[np.ndarray, np.ndarray]:
+    cols, shift = chart.unmap_affine_data()
+    return np.array([[float(x) for x in row] for row in cols]), np.array([float(x) for x in shift])
+
+
+def _pyramids(P: RationalPolytope):
+    """The geometry of P's graded rule, in floats.
+
+    An interval is its endpoints (a, b). A polytope of dimension >= 2 is a
+    list with one entry per facet F: l_F(centroid), the centroid, the facet
+    chart's unmap columns and shift, and the geometry of the chart image.
+    """
+    if P.dim == 1:
         ends = sorted(float(v[0]) for v in P.vertices)
-        return _graded_interval(lambda t: fn((t,)), ends[0], ends[-1], spec)
-    centroid = tuple(float(x) for x in P.centroid())
-    contributions = []
+        return ends[0], ends[-1]
+    c = P.centroid()
+    centroid = np.array([float(x) for x in c])
+    out = []
     for i in range(len(P.facets)):
         chart = facet_chart(P, i)
-        cols, shift = chart.unmap_affine_data()
-        fcols = [[float(x) for x in row] for row in cols]
-        fshift = [float(x) for x in shift]
-        height = float(P.support_value(i, P.centroid()))  # l_F(centroid), exact->float
+        out.append(
+            (float(P.support_value(i, c)), centroid, *_float_chart(chart), _pyramids(chart.image))
+        )
+    return out
 
-        def radial(s: float, fcols=fcols, fshift=fshift) -> float:
-            def on_facet(y: tuple[float, ...]) -> float:
-                x = [
-                    fshift[r] + sum(fcols[r][c] * y[c] for c in range(n - 1))
-                    for r in range(n)
-                ]
-                pt = tuple(
-                    centroid[r] + s * (x[r] - centroid[r]) for r in range(n)
-                )
-                return fn(pt)
 
-            return s ** (n - 1) * _graded_polytope(on_facet, chart.image, spec)
+def _flags(geometry) -> int:
+    """Complete flags of faces: the tensor-product blocks of the rule."""
+    if isinstance(geometry, tuple):
+        return 1
+    return sum(_flags(image) for *_, image in geometry)
 
-        contributions.append(height * _graded_interval(radial, 0.0, 1.0, spec))
-    return pairwise_sum(contributions)
+
+def _rule(geometry, spec: GradedQuadratureSpec, radial) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(geometry, tuple):
+        x, w = _interval_rule(*geometry, spec)
+        return x[:, None], w
+    s, ws = radial
+    nodes, weights = [], []
+    for height, centroid, cols, shift, image in geometry:
+        y, wy = _rule(image, spec, radial)
+        x = _unmap(y, cols, shift)
+        n = x.shape[1]
+        nodes.append((centroid + s[:, None, None] * (x - centroid)).reshape(-1, n))
+        weights.append((height * (ws * s ** (n - 1))[:, None] * wy).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def graded_rule(P: RationalPolytope, spec: GradedQuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (m, n) and weights (m,) of the boundary-graded rule on P.
+
+    In dimension one the rule is composite Gauss on the graded cuts. Above,
+    P is the union of the pyramids from its centroid c over its facets F;
+    each facet's rule, built on its chart image and mapped back, is
+    multiplied with the 1D rule in the radial parameter s in [0, 1]: node
+    c + s (x - c), weight l_F(c) w_s s^(n-1) w_y. The node count is known
+    from the face flags before any array is built; above
+    MAX_QUADRATURE_NODES it raises ValueError naming the count.
+    """
+    geometry = _pyramids(P)
+    size = _flags(geometry) * ((2 * spec.depth + 2) * spec.nodes) ** P.dim
+    if size > MAX_QUADRATURE_NODES:
+        raise ValueError(
+            "the graded rule at depth %d, %d nodes per cell would take ~%.1e nodes on"
+            " this %d-dimensional polytope; the limit is %.0e per level"
+            % (spec.depth, spec.nodes, size, P.dim, MAX_QUADRATURE_NODES)
+        )
+    return _rule(geometry, spec, _interval_rule(0.0, 1.0, spec))
+
+
+def _weighted_sum(values: Callable, x: np.ndarray, w: np.ndarray) -> float:
+    """math.fsum of w * values(x), evaluated CHUNK_NODES nodes at a time."""
+    parts = []
+    for start in range(0, len(w), CHUNK_NODES):
+        chunk = x[start : start + CHUNK_NODES]
+        v = np.broadcast_to(np.asarray(values(chunk), dtype=float), len(chunk))
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise QuadratureError(
+                "integrand returned a non-finite value at %r"
+                % (tuple(chunk[bad.argmax()].tolist()),)
+            )
+        parts.append(math.fsum((w[start : start + CHUNK_NODES] * v).tolist()))
+    return math.fsum(parts)
+
+
+def graded_integral_array(
+    values: Callable[[np.ndarray], np.ndarray],
+    P: RationalPolytope,
+    spec: GradedQuadratureSpec | None = None,
+) -> tuple[float, float]:
+    """Integrate a batched float integrand over P on a boundary-graded mesh.
+
+    ``values`` maps a (k, n) array of nodes, k <= CHUNK_NODES, to k values
+    (or one scalar). Returns (value, error estimate): the weighted values on
+    the rule at ``spec.refined()``, summed with math.fsum chunk by chunk and
+    across chunks, and its distance from the same sum on the rule at
+    ``spec``. Log-type singularities on the boundary are fine; a
+    non-finite value raises QuadratureError naming its node.
+    """
+    if spec is None:
+        spec = GradedQuadratureSpec()
+    fine = _weighted_sum(values, *graded_rule(P, spec.refined()))
+    coarse = _weighted_sum(values, *graded_rule(P, spec))
+    return fine, abs(fine - coarse)
 
 
 def graded_integral(
@@ -264,15 +340,7 @@ def graded_integral(
     P: RationalPolytope,
     spec: GradedQuadratureSpec | None = None,
 ) -> tuple[float, float]:
-    """Integrate a float callback over P on a boundary-graded mesh.
-
-    Returns (value, error estimate); the estimate compares two refinement
-    levels. Log-type singularities on the boundary are fine; a non-finite
-    value at any interior node raises QuadratureError.
-    """
-    if spec is None:
-        spec = GradedQuadratureSpec()
-    safe = _checked(fn)
-    coarse = _graded_polytope(safe, P, spec)
-    fine = _graded_polytope(safe, P, spec.refined())
-    return fine, abs(fine - coarse)
+    """graded_integral_array for a pointwise callback fn(tuple of floats)."""
+    return graded_integral_array(
+        lambda x: np.fromiter((fn(tuple(pt.tolist())) for pt in x), float, len(x)), P, spec
+    )

@@ -121,7 +121,10 @@ def _validate_cartan(C: Sequence[Sequence[int]]) -> list[list[int]]:
     if not isinstance(C, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in C):
         raise RootSystemError("Cartan matrix must be a list of rows")
     n = len(C)
-    M = [[int(x) for x in row] for row in C]
+    bad = [x for row in C for x in row if not isinstance(x, int) or isinstance(x, bool)]
+    if bad:
+        raise RootSystemError("Cartan matrix entries must be integers, got %r" % (bad[0],))
+    M = [list(row) for row in C]
     if any(len(row) != n for row in M):
         raise RootSystemError("Cartan matrix must be square")
     for i in range(n):

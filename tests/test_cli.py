@@ -104,6 +104,24 @@ def test_oracle_refuses_an_oversized_walk(tmp_path, capsys):
     assert "modulus 9246" in err
 
 
+@pytest.mark.parametrize("command", ["mabuchi", "scalar"])
+def test_graded_commands_refuse_an_oversized_rule(command, tmp_path, capsys):
+    """An A3 cube at the CLI defaults would take ~8.6e8 nodes per level."""
+    spec = {
+        "schema": "kstab/1",
+        "root_system": {"series": "A", "rank": 3},
+        "polytope": {"vertices": [[str(1 + (i >> b & 1)) for b in range(3)] for i in range(8)]},
+    }
+    path = tmp_path / "a3_cube.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    assert main([command, "--spec", str(path), "--no-meta"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "~8.6e+08 nodes" in err
+    assert "limit is 2e+06" in err
+
+
 def _exit_code(argv) -> int:
     try:
         return main(argv)
@@ -130,6 +148,20 @@ def _exit_code(argv) -> int:
         ),
         pytest.param(SU2_SPEC, ["dims", "--cartan", "5", "--lambda", "1"], "Cartan", id="cartan-scalar"),
         pytest.param(SU2_SPEC, ["dims", "--cartan", "[2]", "--lambda", "1"], "Cartan", id="cartan-flat-list"),
+        pytest.param(SU2_SPEC, ["dims", "--cartan", "[[2.9]]", "--lambda", "1"], "Cartan", id="cartan-float"),
+        pytest.param(SU2_SPEC, ["dims", "--cartan", "[[null]]", "--lambda", "1"], "Cartan", id="cartan-null"),
+        pytest.param(
+            dict(SU2_SPEC, root_system={"cartan": [[True]]}),
+            ["futaki"],
+            "root_system.cartan",
+            id="spec-cartan-bool",
+        ),
+        pytest.param(
+            SU2_SPEC,
+            ["dims", "--cartan", "[[2, false], [false, 2]]", "--lambda", "1,1"],
+            "Cartan",
+            id="cartan-false-as-zero",
+        ),
         pytest.param(
             SU2_SPEC,
             ["scalar", "--potential", "potential.json"],

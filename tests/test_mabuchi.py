@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kstab.polynomial import MultivariatePolynomial as Poly
-from kstab.quadrature import GradedQuadratureSpec, graded_integral
+from kstab.quadrature import GradedQuadratureSpec, graded_integral_array
 from kstab.rootsystem import dh_weight, dh_weight_gradient_sum
 from kstab.futaki import average_scalar, volume_w
 from kstab.mabuchi import (
@@ -170,8 +170,8 @@ def test_average_identity_under_quadrature(rs_a1, rs_a2, interval_12, interval_1
         expected = float(average_scalar(rs, u.polytope) * volume_w(rs, u.polytope))
         if frozen is not None:
             assert expected == frozen
-        val, err = graded_integral(
-            lambda x: scalar_curvature(rs, u, x) * p.evaluate_float(list(x)),
+        val, err = graded_integral_array(
+            lambda x: scalar_curvature(rs, u, x) * p.evaluate_float(x),
             u.polytope,
             spec,
         )
@@ -334,3 +334,60 @@ def test_bump_derivatives_match_finite_differences():
         + bump.value((x[0] - h, x[1] - h))
     ) / (4 * h * h)
     assert hess[0][1] == pytest.approx(fd_mixed, rel=1e-4, abs=1e-7)
+
+
+# -- batched contracts ------------------------------------------------------------
+
+def test_callable_a_on_node_arrays_matches_presets(rs_a2, square_11_22):
+    """A user callable takes the (m, n) node array and returns m values or a scalar."""
+    u = SymplecticPotential(square_11_22, perturbation=Poly(2, {(2, 0): Fraction(1, 20), (0, 2): Fraction(1, 25)}))
+    a = float(average_scalar(rs_a2, square_11_22))
+
+    def csc(x):  # 2 (a - f_G), f_G = 2 q1 / p with p = x y (x + y), q1 = x^2 + 4 x y + y^2
+        s, t = x[..., 0], x[..., 1]
+        return 2.0 * (a - 2.0 * (s * s + 4 * s * t + t * t) / (s * t * (s + t)))
+
+    spec = GradedQuadratureSpec(depth=3, nodes=4, tol=1.0)
+    preset = mabuchi_eval(rs_a2, u, "csc", spec)
+    user = mabuchi_eval(rs_a2, u, csc, spec)
+    assert user.value == pytest.approx(preset.value, rel=1e-12)
+    assert user.terms["linear"] == pytest.approx(preset.terms["linear"], rel=1e-12)
+    assert mabuchi_eval(rs_a2, u, lambda x: 0.0, spec).value == pytest.approx(
+        mabuchi_eval(rs_a2, u, "zero", spec).value, rel=1e-15
+    )
+    pts = np.array(interior_grid(square_11_22, 5))
+    preset_fn = make_a_preset(rs_a2, square_11_22, "csc")
+    assert np.allclose(el_residual(rs_a2, u, csc, pts), el_residual(rs_a2, u, preset_fn, pts), rtol=1e-12)
+
+
+def test_callable_a_of_the_wrong_shape_is_refused(rs_a1, interval_12):
+    u = SymplecticPotential(interval_12)
+    with pytest.raises(ValueError, match="one value per node"):
+        # written for one point: x[0] is the first node's row, shape (1,)
+        mabuchi_eval(rs_a1, u, lambda x: 12 * x[0], FAST)
+
+
+@pytest.mark.parametrize("A", ["zero", "csc"])
+def test_variation_identity_2d(rs_a2, square_11_22, A):
+    u = SymplecticPotential(square_11_22, perturbation=Poly(2, {(2, 0): Fraction(1, 20), (1, 1): Fraction(1, 50), (0, 2): Fraction(1, 25)}))
+    box = [(Fraction(5, 4), Fraction(7, 4))] * 2
+    bump = CompactBump(box, polytope=square_11_22)
+    spec = GradedQuadratureSpec(depth=4, nodes=6, tol=1.0)
+    report = variation_check(rs_a2, u, A, bump, eps=1e-3, spec=spec)
+    assert report.relative_discrepancy < 1e-4
+    assert report.advisory is None
+    tripled = variation_check(rs_a2, u, A, ScaledBump(bump, 3.0), eps=1e-3, spec=spec)
+    assert tripled.relative_discrepancy < 1e-4
+    assert tripled.predicted == pytest.approx(3 * report.predicted, rel=1e-12)
+
+
+def test_bump_takes_node_arrays():
+    bump = CompactBump([(0, 1), (0, 2)])
+    pts = np.array([[0.3, 0.6], [0.5, 1.0], [1.5, 1.0], [0.2, 1.9]])
+    scaled = ScaledBump(bump, -2.0)
+    for i, x in enumerate(pts):
+        assert bump.value(pts)[i] == bump.value(tuple(x))
+        assert np.array_equal(bump.gradient(pts)[i], bump.gradient(tuple(x)))
+        assert np.array_equal(bump.hessian(pts)[i], bump.hessian(tuple(x)))
+        assert np.array_equal(scaled.hessian(pts)[i], -2.0 * np.asarray(bump.hessian(x)))
+    assert bump.value(pts)[2] == 0.0  # outside the box

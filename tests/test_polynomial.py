@@ -1,6 +1,7 @@
 """Algebraic properties of the exact polynomial carrier."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,3 +103,17 @@ def test_serialization_round_trip():
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     p = Fraction(3, 7) * x * y**2 - 2 * x + Fraction(1, 2)
     assert Poly.from_json_dict(p.to_json_dict()) == p
+
+
+@settings(max_examples=30, deadline=None)
+@given(two_var_polys(), st.lists(rational_points(), min_size=1, max_size=5))
+def test_evaluate_float_on_points_and_arrays(p, pts):
+    rows = np.array([[float(c) for c in pt] for pt in pts])
+    values = p.evaluate_float(rows)
+    assert values.shape == (len(pts),)
+    for pt, row, v in zip(pts, rows, values):
+        assert p.evaluate_float(row) == v
+        assert p.evaluate_float(tuple(row)) == v
+        assert v == pytest.approx(float(p.evaluate(pt)), rel=1e-12, abs=1e-12)
+    with pytest.raises(ValueError):
+        p.evaluate_float(rows[:, :1])

@@ -1,8 +1,11 @@
 """Exact integration against iterated-integral oracles, plus the graded rule."""
+import ast
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +13,14 @@ from hypothesis import strategies as st
 from kstab.polynomial import MultivariatePolynomial as Poly
 from kstab.polytope import PiecewiseAffine, RationalPolytope, transform
 from kstab.quadrature import (
+    MAX_QUADRATURE_NODES,
     GradedQuadratureSpec,
     QuadratureError,
     boundary_integral,
     boundary_integral_pl_poly,
     graded_integral,
+    graded_integral_array,
+    graded_rule,
     integral_over_simplex,
     integral_pl_poly,
     integral_polytope,
@@ -198,6 +204,39 @@ def test_graded_rejects_non_finite(interval_12):
         graded_integral(
             lambda p: float("nan"), interval_12, GradedQuadratureSpec(depth=2, nodes=2, tol=1.0)
         )
+
+
+def _bad_node(exc_info):
+    return ast.literal_eval(str(exc_info.value).split(" at ", 1)[1])
+
+
+def test_non_finite_value_names_its_node(square_11_22):
+    spec = GradedQuadratureSpec(depth=2, nodes=2, tol=1.0)
+    with pytest.raises(QuadratureError) as pointwise:
+        graded_integral(lambda p: math.nan if p[0] > 1.9 else 1.0, square_11_22, spec)
+    with pytest.raises(QuadratureError) as batched:
+        graded_integral_array(
+            lambda x: np.where(x[:, 1] < 1.1, -np.inf, 1.0), square_11_22, spec
+        )
+    x, y = _bad_node(pointwise)
+    assert x > 1.9 and 1 < y < 2
+    x, y = _bad_node(batched)
+    assert 1 < x < 2 and y < 1.1
+
+
+def test_graded_rule_sizes():
+    """The 2D default and a cube at depth 2, 3 nodes run; a cube at the default does not."""
+    square = RationalPolytope.from_vertices([[1, 1], [2, 1], [1, 2], [2, 2]])
+    cube = RationalPolytope.from_vertices(list(product((1, 2), repeat=3)))
+    x, w = graded_rule(square, GradedQuadratureSpec().refined())
+    assert x.shape == (435_600, 2)
+    assert math.fsum(w.tolist()) == pytest.approx(1.0, rel=1e-13)
+    x, w = graded_rule(cube, GradedQuadratureSpec(depth=2, nodes=3).refined())
+    assert x.shape == (1_536_000, 3) and len(w) <= MAX_QUADRATURE_NODES
+    assert math.fsum(w.tolist()) == pytest.approx(1.0, rel=1e-13)
+    del x, w
+    with pytest.raises(ValueError, match=r"~4\.2e\+08 nodes"):
+        graded_rule(cube, GradedQuadratureSpec())
 
 
 def test_graded_spec_validation():
