@@ -34,6 +34,7 @@ from .polytope import (
     GeometryError,
     PiecewiseAffine,
     RationalPolytope,
+    check_walk,
     dilated_lattice_points,
     is_in_positive_chamber,
     lift_polytope,
@@ -52,11 +53,6 @@ from .rootsystem import (
     dh_weight_gradient_sum,
     weyl_eval,
 )
-
-
-# Bounding-box lattice points ehrhart_fit may walk over all its dilates: the A3
-# cube takes ~8e3, the A4 hypercube ~4e5; a rational kink can take ~1e11.
-MAX_WALK_POINTS = 5_000_000
 
 
 class AmplenessError(ValueError):
@@ -312,16 +308,7 @@ def ehrhart_fit(
         raise ValueError("need at least N + n + 3 distinct sample dilations")
     if any(k % m for k in ks):
         raise ValueError("all samples must be multiples of the admissible modulus %d" % m)
-    box = P.bounding_box()
-    points = sum(
-        math.prod(max(0, math.floor(hi * k) - math.ceil(lo * k) + 1) for lo, hi in box)
-        for k in ks
-    )
-    if points > MAX_WALK_POINTS:
-        raise ValueError(
-            "the oracle would walk ~%.1e bounding-box lattice points over %d dilates"
-            " (admissible modulus %d); the limit is %.0e" % (points, len(ks), m, MAX_WALK_POINTS)
-        )
+    check_walk(P, ks, "the oracle (admissible modulus %d)" % m)
     d_vals = [weighted_count_dk(rs, P, k) for k in ks]
     w_vals = [weighted_weight_wk(rs, P, f, R, k, modulus=m) for k in ks]
 

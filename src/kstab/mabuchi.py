@@ -134,9 +134,12 @@ class SymplecticPotential:
         self.canonical = canonical
         self.perturbation = perturbation
         # facet normals v_F and offsets, and the tensors v v^T, v^(x3), v^(x4)
-        V = np.array([[float(a) for a in v] for v, _ in polytope.facets])
+        try:
+            V = np.array([[float(a) for a in v] for v, _ in polytope.facets])
+            self._offsets = np.array([float(c) for _, c in polytope.facets])
+        except OverflowError:
+            raise PotentialError("polytope: a facet normal or offset overflows a float") from None
         self._V = V
-        self._offsets = np.array([float(c) for _, c in polytope.facets])
         self._VV = np.einsum("fi,fj->fij", V, V)
         self._VVV = np.einsum("fc,fij->fcij", V, self._VV)
         self._VVVV = np.einsum("fd,fcij->fcdij", V, self._VVV)
@@ -179,9 +182,6 @@ class SymplecticPotential:
             H = np.einsum("...f,fij->...ij", 0.5 / ls, self._VV) + H
         _cholesky(H, x)
         return H
-
-    def hessian_inverse(self, x) -> np.ndarray:
-        return np.linalg.inv(self.hessian(x))
 
     def d_hessian(self, x) -> np.ndarray:
         """Third derivatives: [..., c, i, j] is d/dx_c of the Hessian entry (i, j)."""

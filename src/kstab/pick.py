@@ -19,7 +19,7 @@ from math import log2
 from typing import Sequence
 
 from .polynomial import MultivariatePolynomial, format_fraction
-from .polytope import RationalPolytope, lattice_points
+from .polytope import RationalPolytope, check_walk, lattice_points
 from .quadrature import boundary_integral, integral_polytope, pairwise_sum
 
 DEFAULT_KS = (4, 8, 16, 32, 64)
@@ -78,11 +78,13 @@ def pick_fit(
     """Fit S_k ~ c_top k^n + c_next k^(n-1) and record residuals.
 
     Polynomial h: the coefficients are fixed to the exact integrals. Callback
-    h: least squares over the largest sampled k.
+    h: least squares over the largest sampled k. Walks over more than
+    MAX_WALK_POINTS bounding-box lattice points are refused up front.
     """
     ks = tuple(sorted(set(int(k) for k in ks)))
     if len(ks) < 2:
         raise ValueError("need at least two sample dilations")
+    check_walk(P, ks, "pick")
     n = P.dim
     sums = [pick_sum(P, h, k) for k in ks]
     exact = isinstance(h, MultivariatePolynomial)

@@ -280,26 +280,6 @@ class MultivariatePolynomial:
             m, {_unpack(k, base, m): Fraction(c, den) for k, c in coeffs.items()}
         )
 
-    def scale_vars(self, factors) -> "MultivariatePolynomial":
-        """Substitute x_i -> factors[i] * x_i without expansion.
-
-        Accepts a single rational (applied to all variables) or a sequence.
-        """
-        if not isinstance(factors, (list, tuple)):
-            factors = [factors] * self.nvars
-        fs = [as_fraction(f) for f in factors]
-        if len(fs) != self.nvars:
-            raise ValueError("factor count mismatch")
-        terms: dict[Exponent, Fraction] = {}
-        for exp, coef in self._terms.items():
-            c = coef
-            for f, e in zip(fs, exp):
-                if e:
-                    c *= f**e
-            if c:
-                terms[exp] = c
-        return MultivariatePolynomial(self.nvars, terms)
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -310,14 +290,6 @@ class MultivariatePolynomial:
                 for e, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "MultivariatePolynomial":
-        nvars = int(data["nvars"])
-        terms: dict[Exponent, Fraction] = {}
-        for item in data.get("terms", []):
-            terms[tuple(int(e) for e in item["exp"])] = as_fraction(item["coef"])
-        return cls(nvars, terms)
 
 
 # -- the integer pullback kernel --------------------------------------------

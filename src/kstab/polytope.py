@@ -1,15 +1,17 @@
 """Rational polytopes with exact dual representations and lattice machinery.
 
 Everything here is exact: convex hulls, vertex enumeration, facet charts and
-lattice point walks all run on ``Fraction`` arithmetic with no epsilon
-comparisons. Polytopes are tiny at the scale this package targets (a few
-hundred vertices at most), so brute-force subset enumeration is the right
-tool and removes an entire class of robustness failures.
+lattice point walks all run on integer or ``Fraction`` arithmetic with no
+epsilon comparisons, which removes an entire class of robustness failures.
 
-Each constructor derives the other representation and then rederives its
-own from it. A halfspace system is bounded iff every facet of the hull of
-its vertices is one of its halfspaces (Minkowski-Weyl; Ziegler, Lectures on
-Polytopes, Thm 1.2), so no recession-cone test is needed.
+One double-description kernel (``_extreme_rays``) serves both directions.
+The facets of conv(V) are the extreme rays of the cone of (w, c) with
+<w, p> >= c on every point p; the vertices of {x : <v, x> >= c} are the rays
+(x, t), t > 0, of its homogenisation {<v, x> >= c t, t >= 0}. A ray with
+t = 0 there is a recession direction, and normals that do not span leave a
+line in the cone, so boundedness falls out of the same enumeration. Each
+constructor derives the other representation and then rederives its own
+from it, which drops redundant points and halfspaces.
 
 Facet geometry follows the lattice normalization: each facet carries the
 primitive integer inward normal v_F, the affine form l_F(x) = <v_F, x> - c_F
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .polynomial import MultivariatePolynomial, as_fraction
@@ -92,23 +94,6 @@ def affine_rank(points: Sequence[Point]) -> int:
     return len(_row_reduce([[x - y for x, y in zip(p, p0)] for p in points[1:]])[1])
 
 
-def _normal_from_span(diffs: Sequence[Sequence], n: int) -> list[Fraction] | None:
-    """A nonzero vector orthogonal to n-1 span vectors in dimension n.
-
-    Read off the single free column of the reduced rows; None when the span
-    vectors are rank deficient.
-    """
-    a, pivots, _ = _row_reduce(diffs, n)
-    if len(pivots) != n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    w = [Fraction(0)] * n
-    w[free] = Fraction(1)
-    for row, p in zip(a, pivots):
-        w[p] = -row[free]
-    return w
-
-
 def primitivize(vec: Sequence) -> IntVec:
     """Scale a nonzero rational vector to a primitive integer vector.
 
@@ -171,36 +156,85 @@ def unimodular_complete_last_row(v: Sequence[int]) -> tuple[list[list[int]], lis
 # hull and vertex enumeration
 # ---------------------------------------------------------------------------
 
-def _hull_facets(points: list[Point], n: int) -> list[Halfspace]:
-    facets: set[Halfspace] = set()
-    for subset in combinations(range(len(points)), n):
-        base = points[subset[0]]
-        diffs = [tuple(points[i][c] - base[c] for c in range(n)) for i in subset[1:]]
-        w = _normal_from_span(diffs, n)
-        if w is None:
+def _extreme_rays(rows: Sequence[IntVec], d: int) -> list[tuple[IntVec, int]]:
+    """Extreme rays of the pointed cone {y in R^d : <r, y> >= 0 for every row r}.
+
+    Double description (Motzkin et al. 1953; Fukuda-Prodon 1996) in integers,
+    cutting R^d by one row at a time. A row that is not zero on the lineality
+    space turns one line into a ray and moves the other lines and rays onto
+    its hyperplane. Any other row keeps the rays on its nonnegative side and
+    joins each (+, -) pair of adjacent rays: those whose common tight set lies
+    in no third ray's. Each ray comes back primitive, with the bitmask of the
+    rows tight on it.
+    """
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    def join(s, y, t, z):  # s y - t z, primitive
+        w = [s * a - t * b for a, b in zip(y, z)]
+        g = math.gcd(*w)
+        return tuple(a // g for a in w)
+
+    lines = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rays: list[tuple[IntVec, int]] = []
+    for i, row in enumerate(rows):
+        k = next((k for k, m in enumerate(lines) if dot(row, m)), None)
+        if k is not None:
+            line = lines.pop(k)
+            s = dot(row, line)
+            if s < 0:
+                line, s = tuple(-a for a in line), -s
+            lines = [join(s, m, dot(row, m), line) for m in lines]
+            rays = [(join(s, y, dot(row, y), line), t | 1 << i) for y, t in rays]
+            rays.append((line, (1 << i) - 1))
             continue
-        wp = primitivize(w)
-        c = Fraction(sum(a * b for a, b in zip(wp, base)))
-        vals = [sum(a * b for a, b in zip(wp, p)) - c for p in points]
-        if all(v >= 0 for v in vals):
-            facets.add((wp, c))
-        elif all(v <= 0 for v in vals):
-            facets.add((tuple(-x for x in wp), -c))
+        vals = [dot(row, y) for y, _ in rays]
+        new = [(y, t | 1 << i if v == 0 else t) for (y, t), v in zip(rays, vals) if v >= 0]
+        rank = d - len(lines)  # of the cone modulo its lines
+        for p in (p for p, v in enumerate(vals) if v > 0):
+            for q in (q for q, v in enumerate(vals) if v < 0):
+                common = rays[p][1] & rays[q][1]
+                if common.bit_count() >= rank - 2 and not any(
+                    t & common == common for r, (_, t) in enumerate(rays) if r != p and r != q
+                ):
+                    new.append((join(vals[p], rays[q][0], vals[q], rays[p][0]), common | 1 << i))
+        rays = new
+    if lines:
+        raise GeometryError("the rows have rank < %d, so the cone is not pointed" % d)
+    return rays
+
+
+def _hull_facets(points: list[Point], n: int) -> list[Halfspace]:
+    """Facets of conv(points): the rays (w, c) of {<w, p> - c >= 0 for all p}."""
+    try:
+        rays = _extreme_rays([primitivize(tuple(p) + (-1,)) for p in points], n + 1)
+    except GeometryError:
+        raise GeometryError("points do not span the ambient space") from None
+    facets = []
+    for y, _ in rays:
+        g = math.gcd(*y[:n])
+        facets.append((tuple(a // g for a in y[:n]), Fraction(y[n], g)))
     return sorted(facets)
 
 
-def _enumerate_vertices(facets: list[Halfspace], n: int) -> list[Point]:
-    verts: set[Point] = set()
-    for subset in combinations(facets, n):
-        a, pivots, _ = _row_reduce([list(v) + [c] for v, c in subset], n)
-        if len(pivots) < n:
-            continue
-        sol = tuple(row[n] for row in a)
-        if all(
-            sum(a * b for a, b in zip(v, sol)) >= c for v, c in facets
-        ):
-            verts.add(sol)
-    return sorted(verts)
+def _enumerate_vertices(halfspaces: Sequence, n: int) -> list[Point]:
+    """Vertices of {x : <v, x> >= c}, from the rays (x, t) of its homogenisation.
+
+    Rays with t > 0 are the vertices; a ray with t = 0 alongside them is a
+    recession direction, so the intersection is unbounded.
+    """
+    rows = [primitivize(tuple(v) + (-as_fraction(c),)) for v, c in halfspaces]
+    try:
+        rays = _extreme_rays(rows + [(0,) * n + (1,)], n + 1)
+    except GeometryError:
+        raise GeometryError(
+            "halfspace intersection is empty or unbounded: the normals do not span"
+        ) from None
+    verts = sorted(tuple(Fraction(a, y[n]) for a in y[:n]) for y, _ in rays if y[n])
+    if verts and len(verts) < len(rays):
+        raise GeometryError("halfspace intersection is unbounded")
+    return verts
 
 
 @dataclass(frozen=True)
@@ -227,42 +261,26 @@ class RationalPolytope:
         n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise GeometryError("points of mixed dimension")
-        if n == 0 or affine_rank(pts) < n:
+        if n == 0:
             raise GeometryError("points do not span the ambient space")
         facets = _hull_facets(pts, n)
-        vertices = _enumerate_vertices(facets, n)
-        if affine_rank(vertices) < n:
-            raise GeometryError("degenerate hull")
-        return cls(n, tuple(facets), tuple(vertices))
+        return cls(n, tuple(facets), tuple(_enumerate_vertices(facets, n)))
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Sequence) -> "RationalPolytope":
-        """Polytope {x : <normal, x> >= offset}; the vertices must span and
-        the facets of their hull must all be input halfspaces (boundedness).
+        """Polytope {x : <normal, x> >= offset}; it must be bounded and its
+        vertices must span. Redundant halfspaces drop out with the hull.
         """
-        cleaned: list[Halfspace] = []
-        for normal, offset in halfspaces:
-            prim = primitivize(normal)
-            # scale the offset by the same positive factor used on the normal
-            fr = [as_fraction(x) for x in normal]
-            k = next(i for i, x in enumerate(fr) if x != 0)
-            scale = Fraction(prim[k]) / fr[k]
-            cleaned.append((prim, as_fraction(offset) * scale))
-        cleaned = sorted(set(cleaned))
-        if not cleaned:
+        if not halfspaces:
             raise GeometryError("no halfspaces given")
-        n = len(cleaned[0][0])
-        if any(len(v) != n for v, _ in cleaned):
-            raise GeometryError("halfspaces of mixed dimension")
-        vertices = _enumerate_vertices(cleaned, n)
-        if not vertices or affine_rank(vertices) < n:
-            raise GeometryError(
-                "halfspace intersection is empty, lower-dimensional or unbounded"
-            )
-        facets = _hull_facets(vertices, n)
-        # P lies in every input halfspace, so facets among them give P <= conv(V) <= P.
-        if not set(facets) <= set(cleaned):
-            raise GeometryError("halfspace intersection is unbounded")
+        n = len(halfspaces[0][0])
+        if n == 0 or any(len(v) != n for v, _ in halfspaces):
+            raise GeometryError("halfspaces of zero or mixed dimension")
+        vertices = _enumerate_vertices(halfspaces, n)
+        try:
+            facets = _hull_facets(vertices, n)
+        except GeometryError:  # the vertices do not span
+            raise GeometryError("halfspace intersection is empty or lower-dimensional") from None
         return cls(n, tuple(facets), tuple(vertices))
 
     # -- basic queries -------------------------------------------------------
@@ -425,6 +443,28 @@ def dilated_lattice_points(P: RationalPolytope, k: int) -> list[IntVec]:
     return out
 
 
+# Bounding-box lattice points one job may walk over all its dilates: the A3
+# cube's oracle takes ~8e3, the A4 hypercube's ~4e5; a rational kink can take ~1e11.
+MAX_WALK_POINTS = 5_000_000
+
+
+def check_walk(P: RationalPolytope, ks: Sequence[int], who: str) -> None:
+    """Refuse up front to walk more than MAX_WALK_POINTS bounding-box lattice
+    points over the dilates k P, k in ks. The count is an exact int of any
+    size, printed without a float.
+    """
+    box = P.bounding_box()
+    points = sum(
+        math.prod(max(0, math.floor(hi * k) - math.ceil(lo * k) + 1) for lo, hi in box)
+        for k in ks
+    )
+    if points > MAX_WALK_POINTS:
+        raise ValueError(
+            "%s would walk ~%s bounding-box lattice points over %d dilates; the limit is %.0e"
+            % (who, format(Decimal(points), ".1e"), len(ks), MAX_WALK_POINTS)
+        )
+
+
 def lattice_points(P: RationalPolytope, k: int) -> list[Point]:
     """Points of closure(P) intersected with (1/k) Z^n, lexicographic."""
     return [tuple(Fraction(c, k) for c in pt) for pt in dilated_lattice_points(P, k)]
@@ -519,14 +559,6 @@ class PiecewiseAffine:
         return max(sum(a * t for a, t in zip(piece, pt)) + b for piece, b in self.pieces)
 
     __call__ = value
-
-    def active_index(self, x: Sequence) -> int:
-        pt = [as_fraction(t) for t in x]
-        vals = [
-            sum(a * t for a, t in zip(piece, pt)) + b for piece, b in self.pieces
-        ]
-        best = max(vals)
-        return vals.index(best)
 
     @property
     def denominator_lcm(self) -> int:

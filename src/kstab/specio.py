@@ -50,8 +50,11 @@ def parse_root_system(data, where: str = "root_system") -> RootSystem:
         except ValueError as exc:
             raise SpecError("%s.cartan: %s" % (where, exc)) from None
     if "series" in data:
+        rank = data.get("rank", 0)
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise SpecError("%s.rank: expected an integer, got %r" % (where, rank))
         try:
-            return build_classical(str(data["series"]), int(data.get("rank", 0)))
+            return build_classical(str(data["series"]), rank)
         except ValueError as exc:
             raise SpecError("%s: %s" % (where, exc)) from None
     raise SpecError("%s: need either 'series'/'rank' or 'cartan'" % where)

@@ -1,11 +1,12 @@
-"""The recession-ray scan, kept as the reference for the hull-based test.
+"""The recession-ray scan, kept as the reference for the double description.
 
 ``kstab.polytope.RationalPolytope.from_halfspaces`` decides boundedness from
-the hull it builds anyway: the intersection is bounded iff every facet of the
-hull of its vertices is an input halfspace. It used to scan the C(F, n - 1)
-directions cut out by n - 1 normals for a recession ray instead. This module
-keeps that constructor, so the tests can check that both accept and reject
-the same systems and build the same polytopes.
+the rays it enumerates anyway: the intersection is unbounded iff its
+homogenisation has a ray at t = 0 besides its vertices, or its normals do not
+span. It used to scan the C(F, n - 1) directions cut out by n - 1 normals for
+a recession ray instead. This module keeps that constructor, built on the
+subset enumerations of ``subset_reference``, so the tests can check that both
+accept and reject the same systems and build the same polytopes.
 """
 from __future__ import annotations
 
@@ -18,13 +19,11 @@ from kstab.polytope import (
     GeometryError,
     Halfspace,
     Point,
-    _enumerate_vertices,
-    _hull_facets,
-    _normal_from_span,
     _row_reduce,
     affine_rank,
     primitivize,
 )
+from subset_reference import _enumerate_vertices, _hull_facets, _normal_from_span
 
 
 def check_bounded(facets: list[Halfspace], n: int) -> None:

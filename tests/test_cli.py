@@ -20,6 +20,11 @@ SU2_SPEC = {
 }
 
 
+# A vertex too large for a float: the exact layer takes it, the walks and the
+# float pipeline must refuse it up front.
+HUGE_SPEC = dict(SU2_SPEC, polytope={"vertices": [["1"], ["1e400"]]})
+
+
 @pytest.fixture
 def su2_spec(tmp_path):
     path = tmp_path / "su2_12.json"
@@ -169,6 +174,17 @@ def _exit_code(argv) -> int:
             id="potential-not-an-object",
         ),
         pytest.param(SU2_SPEC, ["scalar", "--grid", "0"], "--grid", id="grid-0"),
+        pytest.param(
+            dict(SU2_SPEC, root_system={"series": "A", "rank": "1"}),
+            ["futaki"],
+            "root_system.rank",
+            id="rank-string",
+        ),
+        pytest.param(
+            HUGE_SPEC, ["futaki", "--oracle"], "~1.5e+401 bounding-box lattice points", id="huge-oracle"
+        ),
+        pytest.param(HUGE_SPEC, ["mabuchi"], "polytope: a facet", id="huge-mabuchi"),
+        pytest.param(HUGE_SPEC, ["pick"], "pick would walk ~", id="huge-pick"),
     ],
 )
 def test_malformed_spec_exits_2(spec, argv, message, tmp_path, monkeypatch, capsys):
@@ -177,7 +193,9 @@ def test_malformed_spec_exits_2(spec, argv, message, tmp_path, monkeypatch, caps
     (tmp_path / "potential.json").write_text("[1, 2]")
     if argv[0] != "dims":
         argv = argv[:1] + ["--spec", "spec.json"] + argv[1:]
+    start = time.perf_counter()
     assert _exit_code(argv) == 2
+    assert time.perf_counter() - start < 1
     assert message in capsys.readouterr().err
 
 

@@ -102,8 +102,11 @@ def test_pick_consistency_with_weighted_counts(rs_a1, rs_a2, interval_12, square
     # d_k equals the pick sum of q(k x) over the refined lattice, up to denom
     for rs, P in [(rs_a1, interval_12), (rs_a2, square_11_22)]:
         q = weyl_polynomial(rs)
+        n = P.dim
         for k in (1, 2, 3, 4):
-            scaled = q.scale_vars(k)
+            scaled = q.substitute_affine(
+                [[k * (i == j) for j in range(n)] for i in range(n)], [0] * n
+            )
             assert weighted_count_dk(rs, P, k) == pick_sum(P, scaled, k) / rs.denom
 
 

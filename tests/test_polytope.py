@@ -11,6 +11,10 @@ from kstab.polytope import (
     GeometryError,
     PiecewiseAffine,
     RationalPolytope,
+    _enumerate_vertices,
+    _hull_facets,
+    _row_reduce,
+    affine_rank,
     dilated_lattice_points,
     facet_chart,
     facet_lattice_count,
@@ -25,6 +29,7 @@ from kstab.polytope import (
 )
 import bounded_reference
 import chart_reference
+import subset_reference
 from conftest import slanted_facet_index
 
 
@@ -97,6 +102,12 @@ def test_degenerate_inputs_raise():
         RationalPolytope.from_halfspaces(
             [((0, 1), 0), ((0, -1), -1), ((1, 0), 0), ((1, -2), -1)]
         )
+    # The strip 0 <= y <= 1 contains lines, so its cone is not pointed.
+    with pytest.raises(GeometryError, match="unbounded"):
+        RationalPolytope.from_halfspaces([((0, 1), 0), ((0, -1), -1)])
+    cube = RationalPolytope.from_vertices(list(product([1, 2], repeat=5)))
+    assert (len(cube.facets), len(cube.vertices)) == (10, 32)
+    assert RationalPolytope.from_halfspaces(cube.facets) == cube
 
 
 def test_hv_round_trip(unit_square, triangle_23, simplex_235):
@@ -144,6 +155,79 @@ def test_from_halfspaces_matches_the_ray_scan(halfspaces):
         return
     assert reference == (list(P.facets), list(P.vertices))
     assert RationalPolytope.from_vertices(P.vertices) == P
+
+
+_coords = st.fractions(-2, 2, max_denominator=2)
+
+
+@st.composite
+def point_sets(draw):
+    """Rational points, or 0/1 points: cube vertices share facets many at a time."""
+    n = draw(st.integers(1, 4))
+    coord = draw(st.sampled_from([_coords, st.builds(Fraction, st.integers(0, 1))]))
+    size = st.integers(1, 8 if n == 4 else 9)
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=draw(size)))
+    return sorted(set(points)), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets())
+def test_hull_kernel_matches_subset_enumeration(case):
+    """Facets agree; the vertices are the points on n independent facets.
+
+    The vertex side of the subset reference would test C(F, n) subsets of up
+    to ~20 facets here; the halfspace property below compares it on fewer.
+    """
+    points, n = case
+    try:
+        facets = _hull_facets(points, n)
+    except GeometryError:
+        assert affine_rank(points) < n
+        return
+    assert affine_rank(points) == n
+    assert facets == subset_reference._hull_facets(points, n)
+    vertices = [
+        p for p in points
+        if len(_row_reduce([v for v, c in facets if sum(a * x for a, x in zip(v, p)) == c])[1]) == n
+    ]
+    assert _enumerate_vertices(facets, n) == vertices
+
+
+@st.composite
+def rational_systems(draw):
+    """Halfspaces, some with normals in {-1, 0, 1}^n, some with one given twice."""
+    n = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([st.integers(-2, 2), st.integers(-1, 1)]))
+    normal = st.tuples(*[entry] * n).filter(any)
+    rows = draw(st.lists(st.tuples(normal, _coords), min_size=1, max_size=n + 4, unique=True))
+    if draw(st.booleans()):
+        v, c = rows[0]
+        rows.append((tuple(2 * a for a in v), 2 * c))
+    return [(v, Fraction(c)) for v, c in rows], n
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_systems())
+def test_vertex_kernel_matches_subset_enumeration(case):
+    """Vertices agree; the kernel rejects exactly the unbounded nonempty systems.
+
+    An empty system comes back with no vertices; the ray scan may still call
+    it unbounded, because it looks at the normals alone.
+    """
+    system, n = case
+    spans = len(_row_reduce([v for v, _ in system])[1]) == n
+    try:
+        bounded_reference.check_bounded(system, n)
+        bounded = True
+    except GeometryError:
+        bounded = False
+    reference = subset_reference._enumerate_vertices(system, n)
+    try:
+        vertices = _enumerate_vertices(system, n)
+    except GeometryError:
+        assert not bounded and (reference or not spans)
+        return
+    assert spans and vertices == reference and (bounded or not vertices)
 
 
 # -- exact elimination kernel -------------------------------------------------
@@ -197,7 +281,7 @@ def _systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(_systems())
 def test_row_reduce_matches_independent_references(system):
-    from kstab.polytope import _det, _row_reduce
+    from kstab.polytope import _det
 
     rows, rhs = system
     m, k = len(rows), len(rows[0])
@@ -439,12 +523,10 @@ def test_positive_chamber(interval_12):
 
 # -- piecewise affine --------------------------------------------------------
 
-def test_pl_value_and_active_index(f_kink):
+def test_pl_value(f_kink):
     assert f_kink.value([1]) == 0
     assert f_kink.value([2]) == 1
     assert f_kink.value([Fraction(3, 2)]) == 0
-    assert f_kink.active_index([1]) == 0
-    assert f_kink.active_index([2]) == 1
 
 
 def test_pl_denominator_lcm():
