@@ -126,7 +126,6 @@ class SymplecticPotential:
         polytope: RationalPolytope,
         perturbation: MultivariatePolynomial | None = None,
         canonical: bool = True,
-        validate: bool = True,
     ):
         if perturbation is not None and perturbation.nvars != polytope.dim:
             raise PotentialError("perturbation variable count != polytope dimension")
@@ -145,8 +144,7 @@ class SymplecticPotential:
         self._VVVV = np.einsum("fd,fcij->fcdij", V, self._VVV)
         g = perturbation or MultivariatePolynomial.zero(polytope.dim)
         self._g = [_partials(g, order) for order in range(5)]
-        if validate:
-            self.hessian(np.array(interior_grid(polytope, 9)))  # raises when not PD
+        self.hessian(np.array(interior_grid(polytope, 9)))  # raises when not PD
 
     def _l_values(self, x, allow_boundary: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """x as floats and l_F(x) (..., F); DomainError names the first point outside."""
@@ -273,12 +271,7 @@ def _divergence_pg(rs: RootSystem, u, x: np.ndarray, pv) -> np.ndarray:
     return terms.sum(axis=(-2, -1))
 
 
-def scalar_curvature(
-    rs: RootSystem,
-    u,
-    x,
-    divergence_factor: float = SCALAR_DIVERGENCE_FACTOR,
-):
+def scalar_curvature(rs: RootSystem, u, x):
     """S(x) for the metric encoded by u, at a point or every row of an (m, n) array."""
     _require_match(rs, u.polytope)
     _require_positive_chamber(u.polytope)
@@ -286,7 +279,7 @@ def scalar_curvature(
     x = np.asarray(x, dtype=float)
     pv = p.evaluate_float(x)
     f_g = 2.0 * q1.evaluate_float(x) / pv
-    return -divergence_factor * _divergence_pg(rs, u, x, pv) / pv + f_g
+    return -SCALAR_DIVERGENCE_FACTOR * _divergence_pg(rs, u, x, pv) / pv + f_g
 
 
 def _a_values(A: Callable, x: np.ndarray):

@@ -10,8 +10,11 @@ The facets of conv(V) are the extreme rays of the cone of (w, c) with
 (x, t), t > 0, of its homogenisation {<v, x> >= c t, t >= 0}. A ray with
 t = 0 there is a recession direction, and normals that do not span leave a
 line in the cone, so boundedness falls out of the same enumeration. Each
-constructor derives the other representation and then rederives its own
-from it, which drops redundant points and halfspaces.
+constructor runs the kernel once: the rays give the other representation,
+and their bitmasks of tight rows give the vertex-facet incidence, which
+picks out the vertices among the points and the facets among the
+halfspaces. Triangulations and facet vertices read that incidence and
+evaluate no support values.
 
 Facet geometry follows the lattice normalization: each facet carries the
 primitive integer inward normal v_F, the affine form l_F(x) = <v_F, x> - c_F
@@ -23,7 +26,7 @@ ordinary Lebesgue measure one dimension down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
@@ -86,25 +89,17 @@ def _det(rows: Sequence[Sequence]) -> Fraction:
     return _row_reduce(rows)[2]
 
 
-def affine_rank(points: Sequence[Point]) -> int:
-    """Dimension of the affine span of a point set."""
-    if len(points) <= 1:
-        return 0
-    p0 = points[0]
-    return len(_row_reduce([[x - y for x, y in zip(p, p0)] for p in points[1:]])[1])
-
-
 def primitivize(vec: Sequence) -> IntVec:
     """Scale a nonzero rational vector to a primitive integer vector.
 
     The positive scaling is dropped; direction is preserved.
     """
-    fracs = [as_fraction(x) for x in vec]
-    if all(x == 0 for x in fracs):
-        raise GeometryError("cannot primitivize the zero vector")
+    fracs = [x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in vec]
     denom = math.lcm(*(x.denominator for x in fracs))
-    ints = [int(x * denom) for x in fracs]
-    g = math.gcd(*(abs(v) for v in ints))
+    ints = [x.numerator * (denom // x.denominator) for x in fracs]
+    g = math.gcd(*ints)
+    if g == 0:
+        raise GeometryError("cannot primitivize the zero vector")
     return tuple(v // g for v in ints)
 
 
@@ -205,36 +200,14 @@ def _extreme_rays(rows: Sequence[IntVec], d: int) -> list[tuple[IntVec, int]]:
     return rays
 
 
-def _hull_facets(points: list[Point], n: int) -> list[Halfspace]:
-    """Facets of conv(points): the rays (w, c) of {<w, p> - c >= 0 for all p}."""
-    try:
-        rays = _extreme_rays([primitivize(tuple(p) + (-1,)) for p in points], n + 1)
-    except GeometryError:
-        raise GeometryError("points do not span the ambient space") from None
-    facets = []
-    for y, _ in rays:
-        g = math.gcd(*y[:n])
-        facets.append((tuple(a // g for a in y[:n]), Fraction(y[n], g)))
-    return sorted(facets)
+def _transpose(masks: Sequence[int], size: int) -> list[int]:
+    """Bit i of the j-th result is bit j of masks[i], for j < size."""
+    return [sum(1 << i for i, m in enumerate(masks) if m >> j & 1) for j in range(size)]
 
 
-def _enumerate_vertices(halfspaces: Sequence, n: int) -> list[Point]:
-    """Vertices of {x : <v, x> >= c}, from the rays (x, t) of its homogenisation.
-
-    Rays with t > 0 are the vertices; a ray with t = 0 alongside them is a
-    recession direction, so the intersection is unbounded.
-    """
-    rows = [primitivize(tuple(v) + (-as_fraction(c),)) for v, c in halfspaces]
-    try:
-        rays = _extreme_rays(rows + [(0,) * n + (1,)], n + 1)
-    except GeometryError:
-        raise GeometryError(
-            "halfspace intersection is empty or unbounded: the normals do not span"
-        ) from None
-    verts = sorted(tuple(Fraction(a, y[n]) for a in y[:n]) for y, _ in rays if y[n])
-    if verts and len(verts) < len(rays):
-        raise GeometryError("halfspace intersection is unbounded")
-    return verts
+def _maximal(masks: Sequence[int]) -> list[bool]:
+    """Which bitmasks lie in no other, different one."""
+    return [not any(q != m and q & m == m for q in masks) for m in masks]
 
 
 @dataclass(frozen=True)
@@ -242,19 +215,26 @@ class RationalPolytope:
     """Bounded full-dimensional rational polytope with both representations.
 
     ``facets`` are (primitive integer inward normal v_F, rational offset c_F)
-    pairs defining l_F(x) = <v_F, x> - c_F >= 0; ``vertices`` are the extreme
-    points. Either constructor rebuilds its input from the other tuple, so
-    neither holds redundant entries.
+    pairs defining l_F(x) = <v_F, x> - c_F >= 0, in sorted order;
+    ``vertices`` are the extreme points, sorted. ``incidence[i]`` is the
+    frozenset of indices j with l_i(vertices[j]) = 0, read off the kernel's
+    tight-row bitmasks when a constructor builds the polytope; it is left out
+    of equality, since the two representations determine it.
     """
 
     dim: int
     facets: tuple[Halfspace, ...]
     vertices: tuple[Point, ...]
+    incidence: tuple[frozenset[int], ...] = field(compare=False, repr=False)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_vertices(cls, points: Sequence[Sequence]) -> "RationalPolytope":
+        """conv(points). The facets are the rays (w, c) of the cone
+        {<w, p> - c >= 0 for all p}; a point is a vertex when no other point
+        lies on every facet it lies on.
+        """
         pts = sorted({tuple(as_fraction(x) for x in p) for p in points})
         if not pts:
             raise GeometryError("no points given")
@@ -263,25 +243,54 @@ class RationalPolytope:
             raise GeometryError("points of mixed dimension")
         if n == 0:
             raise GeometryError("points do not span the ambient space")
-        facets = _hull_facets(pts, n)
-        return cls(n, tuple(facets), tuple(_enumerate_vertices(facets, n)))
+        try:
+            rays = _extreme_rays([primitivize(p + (-1,)) for p in pts], n + 1)
+        except GeometryError:
+            raise GeometryError("points do not span the ambient space") from None
+        on_point = _transpose([t for _, t in rays], len(pts))
+        keep = [j for j, vertex in enumerate(_maximal(on_point)) if vertex]
+        facets = []
+        for y, t in rays:
+            g = math.gcd(*y[:n])
+            on = frozenset(k for k, j in enumerate(keep) if t >> j & 1)
+            facets.append(((tuple(a // g for a in y[:n]), Fraction(y[n], g)), on))
+        halfspaces, incidence = zip(*sorted(facets, key=lambda e: e[0]))
+        return cls(n, halfspaces, tuple(pts[j] for j in keep), incidence)
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Sequence) -> "RationalPolytope":
         """Polytope {x : <normal, x> >= offset}; it must be bounded and its
-        vertices must span. Redundant halfspaces drop out with the hull.
+        vertices must span. The vertices are the rays (x, t), t > 0, of the
+        homogenisation; the facets are the halfspaces whose sets of tight
+        vertices no other halfspace's contains, so redundant ones drop out.
         """
         if not halfspaces:
             raise GeometryError("no halfspaces given")
         n = len(halfspaces[0][0])
         if n == 0 or any(len(v) != n for v, _ in halfspaces):
             raise GeometryError("halfspaces of zero or mixed dimension")
-        vertices = _enumerate_vertices(halfspaces, n)
+        rows = [primitivize(tuple(v) + (-as_fraction(c),)) for v, c in halfspaces]
+        rows = list(dict.fromkeys(rows))  # equal rows after primitivize: keep the first
         try:
-            facets = _hull_facets(vertices, n)
-        except GeometryError:  # the vertices do not span
-            raise GeometryError("halfspace intersection is empty or lower-dimensional") from None
-        return cls(n, tuple(facets), tuple(vertices))
+            rays = _extreme_rays(rows + [(0,) * n + (1,)], n + 1)
+        except GeometryError:
+            raise GeometryError(
+                "halfspace intersection is empty or unbounded: the normals do not span"
+            ) from None
+        verts = sorted((tuple(Fraction(a, y[n]) for a in y[:n]), t) for y, t in rays if y[n])
+        if verts and len(verts) < len(rays):
+            raise GeometryError("halfspace intersection is unbounded")
+        on_row = _transpose([t for _, t in verts], len(rows))
+        if not verts or (1 << len(verts)) - 1 in on_row:  # some row is an implicit equality
+            raise GeometryError("halfspace intersection is empty or lower-dimensional")
+        facets = []
+        for row, m, facet in zip(rows, on_row, _maximal(on_row)):
+            if facet:
+                g = math.gcd(*row[:n])
+                on = frozenset(j for j in range(len(verts)) if m >> j & 1)
+                facets.append(((tuple(a // g for a in row[:n]), Fraction(-row[n], g)), on))
+        kept, incidence = zip(*sorted(facets, key=lambda e: e[0]))
+        return cls(n, kept, tuple(p for p, _ in verts), incidence)
 
     # -- basic queries -------------------------------------------------------
 
@@ -290,7 +299,7 @@ class RationalPolytope:
         return sum(a * as_fraction(b) for a, b in zip(v, x)) - c
 
     def facet_vertices(self, facet_index: int) -> list[Point]:
-        return [p for p in self.vertices if self.support_value(facet_index, p) == 0]
+        return [self.vertices[j] for j in sorted(self.incidence[facet_index])]
 
     @property
     def is_integer(self) -> bool:
@@ -347,14 +356,6 @@ class FacetChart:
     inverse: tuple[IntVec, ...]
     offset: Fraction
     image: RationalPolytope
-
-    def map_point(self, x: Sequence) -> Point:
-        y = [
-            Fraction(sum(a * as_fraction(b) for a, b in zip(row, x)))
-            for row in self.matrix
-        ]
-        y[-1] -= self.offset
-        return tuple(y[:-1])
 
     def pullback_polynomial(self, h: MultivariatePolynomial) -> MultivariatePolynomial:
         """h composed with the inverse chart, as a polynomial on the image."""
@@ -575,24 +576,6 @@ class PiecewiseAffine:
             tuple((tuple(c * x for x in a), c * b) for a, b in self.pieces)
         )
 
-    def add_constant(self, c) -> "PiecewiseAffine":
-        c = as_fraction(c)
-        return PiecewiseAffine(tuple((a, b + c) for a, b in self.pieces))
-
-    def compose_affine(self, matrix: Sequence[Sequence], shift: Sequence) -> "PiecewiseAffine":
-        """The function x -> f(matrix @ x + shift) (still max-of-affine)."""
-        rows = [[as_fraction(x) for x in row] for row in matrix]
-        sh = [as_fraction(s) for s in shift]
-        m = len(rows[0]) if rows else 0
-        out = []
-        for a, b in self.pieces:
-            new_a = [
-                sum(a[r] * rows[r][c] for r in range(len(rows))) for c in range(m)
-            ]
-            new_b = b + sum(a[r] * sh[r] for r in range(len(rows)))
-            out.append((tuple(new_a), new_b))
-        return PiecewiseAffine(tuple(out))
-
     def to_json_dict(self) -> dict:
         from .polynomial import format_fraction
 
@@ -669,25 +652,25 @@ def lift_polytope(P: RationalPolytope, f: PiecewiseAffine, R) -> RationalPolytop
 def triangulate(P: RationalPolytope) -> list[list[Point]]:
     """Exact pulling triangulation (De Loera-Rambau-Santos 2010, 4.3).
 
-    Each face is coned from its least vertex over its facets that miss it:
-    its intersections with P's facets one dimension down, read off P's
-    vertex-facet incidences, so no chart or hull is rebuilt.
+    Each face is coned from its least vertex over its facets that miss it,
+    read off P's vertex-facet incidence: the facets of a face are its
+    inclusion-maximal proper intersections with P's facets (Ziegler, GTM 152,
+    2.1). Every nonempty proper face that misses the apex lies in a facet
+    that misses it, so the maximal intersections missing the apex are those
+    facets. No chart, hull or support value is computed.
     """
     n, verts = P.dim, P.vertices
     if len(verts) == n + 1:
         return [list(verts)]
-    on = [
-        frozenset(j for j, v in enumerate(verts) if P.support_value(i, v) == 0)
-        for i in range(len(P.facets))
-    ]
 
     def cone(face: frozenset, d: int) -> list[tuple[int, ...]]:
         if len(face) == d + 1:
             return [tuple(sorted(face))]
         apex = min(face)
+        subs = {face & s for s in P.incidence if apex not in s}
         out = []
-        for sub in {face & s for s in on if apex not in s}:
-            if affine_rank([verts[j] for j in sub]) == d - 1:
+        for sub in subs:
+            if not any(sub < other for other in subs):
                 out += [(apex,) + t for t in cone(sub, d - 1)]
         return out
 

@@ -20,9 +20,9 @@ from kstab.polytope import (
     Halfspace,
     Point,
     _row_reduce,
-    affine_rank,
     primitivize,
 )
+from incidence_reference import affine_rank
 from subset_reference import _enumerate_vertices, _hull_facets, _normal_from_span
 
 

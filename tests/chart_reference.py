@@ -9,14 +9,16 @@ the boundary term composed f into each chart of P and subdivided it again
 there. This module keeps those routes, with volume and exact integrals built
 on them alone, so the tests can compare the two on random input. Its
 ``unmap_point`` inverts a chart through ``unmap_affine_data``, the map the
-boundary integrals pull back by.
+boundary integrals pull back by, and ``map_point`` applies the chart. The PL
+transforms ``compose_affine`` and ``add_constant`` serve this route and the
+equivariance tests; the package itself needs neither.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from kstab.polynomial import MultivariatePolynomial
+from kstab.polynomial import MultivariatePolynomial, as_fraction
 from kstab.polytope import (
     FacetChart,
     GeometryError,
@@ -33,6 +35,32 @@ def unmap_point(chart: FacetChart, y) -> tuple:
     """The point of P's facet that the chart sends to y."""
     cols, shift = chart.unmap_affine_data()
     return tuple(s + sum(c * t for c, t in zip(row, y)) for row, s in zip(cols, shift))
+
+
+def map_point(chart: FacetChart, x) -> tuple:
+    """The chart image of a point of P's facet."""
+    y = [Fraction(sum(a * as_fraction(b) for a, b in zip(row, x))) for row in chart.matrix]
+    y[-1] -= chart.offset
+    return tuple(y[:-1])
+
+
+def compose_affine(f: PiecewiseAffine, matrix, shift) -> PiecewiseAffine:
+    """The function x -> f(matrix @ x + shift) (still max-of-affine)."""
+    rows = [[as_fraction(x) for x in row] for row in matrix]
+    sh = [as_fraction(s) for s in shift]
+    m = len(rows[0]) if rows else 0
+    out = []
+    for a, b in f.pieces:
+        new_a = [sum(a[r] * rows[r][c] for r in range(len(rows))) for c in range(m)]
+        new_b = b + sum(a[r] * sh[r] for r in range(len(rows)))
+        out.append((tuple(new_a), new_b))
+    return PiecewiseAffine(tuple(out))
+
+
+def add_constant(f: PiecewiseAffine, c) -> PiecewiseAffine:
+    """The function x -> f(x) + c."""
+    c = as_fraction(c)
+    return PiecewiseAffine(tuple((a, b + c) for a, b in f.pieces))
 
 
 def triangulate(P: RationalPolytope) -> list[list]:
@@ -89,6 +117,6 @@ def boundary_integral_pl_poly(
         chart = facet_chart(P, i)
         cols, shift = chart.unmap_affine_data()
         total += integral_pl_poly(
-            f.compose_affine(cols, shift), chart.pullback_polynomial(h), chart.image
+            compose_affine(f, cols, shift), chart.pullback_polynomial(h), chart.image
         )
     return total

@@ -48,6 +48,7 @@ from kstab.mabuchi import (
     scalar_curvature,
     variation_check,
 )
+from chart_reference import compose_affine
 from conftest import slanted_facet_index
 
 QUAD = GradedQuadratureSpec(depth=12, ratio=Fraction(1, 2), nodes=10, tol=1e-6)
@@ -216,7 +217,7 @@ def test_criterion_11_gl_equivariance(rs_a2, square_11_22, f_max_xy):
     p = dh_weight(rs_a2).substitute_affine(ginv, zero2)
     q1 = dh_weight_gradient_sum(rs_a2).substitute_affine(ginv, zero2)
     gP = transform(square_11_22, g)
-    gf = f_max_xy.compose_affine(ginv, zero2)
+    gf = compose_affine(f_max_xy, ginv, zero2)
     vol = integral_polytope(p, gP)
     a = 2 * (integral_polytope(q1, gP) + boundary_integral(p, gP) / 2) / vol
     bracket = (

@@ -175,6 +175,18 @@ def _exit_code(argv) -> int:
         ),
         pytest.param(SU2_SPEC, ["scalar", "--grid", "0"], "--grid", id="grid-0"),
         pytest.param(
+            SU2_SPEC,
+            ["scalar", "--grid", "100001"],
+            "--grid: 100001 grid points exceed the limit of 100000",
+            id="grid-over-limit",
+        ),
+        pytest.param(
+            SU2_SPEC,
+            ["mabuchi", "--residuals", "r.csv", "--grid", "20000000"],
+            "--grid: 20000000 grid points exceed the limit of 100000",
+            id="residual-grid-over-limit",
+        ),
+        pytest.param(
             dict(SU2_SPEC, root_system={"series": "A", "rank": "1"}),
             ["futaki"],
             "root_system.rank",

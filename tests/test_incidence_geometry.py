@@ -49,9 +49,17 @@ def test_triangulate_cube_builds_no_chart_or_hull(n, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("triangulate rebuilt geometry")
 
-    monkeypatch.setattr(polytope, "facet_chart", refuse)
-    monkeypatch.setattr(RationalPolytope, "from_vertices", refuse)
+    for owner, name in [
+        (polytope, "facet_chart"),
+        (polytope, "_row_reduce"),
+        (RationalPolytope, "from_vertices"),
+        (RationalPolytope, "support_value"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
     simplices = triangulate(cube)
+    facets = [cube.facet_vertices(i) for i in range(2 * n)]
+    monkeypatch.undo()
+    assert all(len(f) == 2 ** (n - 1) for f in facets)
     assert len(simplices) == math.factorial(n)
     for s in simplices:
         assert abs(_det([[x - y for x, y in zip(p, s[0])] for p in s[1:]])) == 1

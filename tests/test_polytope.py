@@ -11,10 +11,7 @@ from kstab.polytope import (
     GeometryError,
     PiecewiseAffine,
     RationalPolytope,
-    _enumerate_vertices,
-    _hull_facets,
     _row_reduce,
-    affine_rank,
     dilated_lattice_points,
     facet_chart,
     facet_lattice_count,
@@ -27,10 +24,13 @@ from kstab.polytope import (
     triangulate,
     unimodular_complete_last_row,
 )
+from kstab import polytope
 import bounded_reference
 import chart_reference
+import incidence_reference
 import subset_reference
 from conftest import slanted_facet_index
+from incidence_reference import affine_rank
 
 
 def brute_force_dilated_points(P, k):
@@ -180,17 +180,35 @@ def test_hull_kernel_matches_subset_enumeration(case):
     """
     points, n = case
     try:
-        facets = _hull_facets(points, n)
+        P = RationalPolytope.from_vertices(points)
     except GeometryError:
         assert affine_rank(points) < n
         return
     assert affine_rank(points) == n
-    assert facets == subset_reference._hull_facets(points, n)
+    assert list(P.facets) == subset_reference._hull_facets(points, n)
     vertices = [
         p for p in points
-        if len(_row_reduce([v for v, c in facets if sum(a * x for a, x in zip(v, p)) == c])[1]) == n
+        if len(_row_reduce([v for v, c in P.facets if sum(a * x for a, x in zip(v, p)) == c])[1]) == n
     ]
-    assert _enumerate_vertices(facets, n) == vertices
+    assert list(P.vertices) == vertices
+
+
+# Subsets of the 0/1 5-cube whose hull a kernel without its combinatorial
+# adjacency test gets wrong (it joins non-adjacent rays and keeps spurious
+# facets); the tight-set size filter alone passes in dimension <= 4.
+ADJACENCY_CASES = [
+    "00011 00100 00101 00111 01001 01100 10001 10010 11000 11111",
+    "01000 01001 01010 01111 10001 10100 10110 11000 11010 11110",
+    "00010 00110 01011 01100 01101 01110 10010 10011 10101 11111",
+    "00001 00100 01000 01101 01110 01111 10100 10110 11000 11010 11011",
+]
+
+
+@pytest.mark.parametrize("case", ADJACENCY_CASES)
+def test_hull_kernel_adjacency_on_cube_subsets(case):
+    points = [tuple(Fraction(int(c)) for c in word) for word in case.split()]
+    P = RationalPolytope.from_vertices(points)
+    assert list(P.facets) == subset_reference._hull_facets(points, 5)
 
 
 @st.composite
@@ -209,10 +227,11 @@ def rational_systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(rational_systems())
 def test_vertex_kernel_matches_subset_enumeration(case):
-    """Vertices agree; the kernel rejects exactly the unbounded nonempty systems.
+    """Vertices agree; the constructor refuses exactly the systems that are
+    unbounded and nonempty, empty, or lower-dimensional.
 
-    An empty system comes back with no vertices; the ray scan may still call
-    it unbounded, because it looks at the normals alone.
+    An empty system may still be unbounded to the ray scan, because it looks
+    at the normals alone.
     """
     system, n = case
     spans = len(_row_reduce([v for v, _ in system])[1]) == n
@@ -223,11 +242,75 @@ def test_vertex_kernel_matches_subset_enumeration(case):
         bounded = False
     reference = subset_reference._enumerate_vertices(system, n)
     try:
-        vertices = _enumerate_vertices(system, n)
-    except GeometryError:
-        assert not bounded and (reference or not spans)
+        P = RationalPolytope.from_halfspaces(system)
+    except GeometryError as e:
+        if "lower-dimensional" in str(e):
+            assert not reference or (bounded and affine_rank(reference) < n)
+        else:
+            assert not bounded and (reference or not spans)
         return
-    assert spans and vertices == reference and (bounded or not vertices)
+    assert spans and bounded and list(P.vertices) == reference
+
+
+@st.composite
+def polytope_inputs(draw):
+    """A point set that spans, and the halfspaces of its hull with extra rows:
+    a scaled copy of a facet, and rows that cut, touch or miss the hull."""
+    points, n = draw(point_sets())
+    try:
+        P = RationalPolytope.from_vertices(points)
+    except GeometryError:
+        assume(False)
+    normal = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    extra = draw(st.lists(st.tuples(normal, st.sampled_from([-1, 0, 0, 1])), max_size=3))
+    system = list(P.facets) + [
+        (v, min(sum(a * x for a, x in zip(v, p)) for p in P.vertices) + Fraction(shift, 2))
+        for v, shift in extra
+    ]
+    v, c = draw(st.sampled_from(P.facets))
+    system.append((tuple(2 * a for a in v), 2 * c))
+    return points, draw(st.permutations(system)), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytope_inputs())
+def test_incidence_and_triangulation_match_references(case):
+    """Both constructors: the incidence is the support-value one, facets and
+    vertices are the subset enumerations', and the triangulation is the
+    support-value route's."""
+    points, system, n = case
+    facets = subset_reference._hull_facets(points, n)
+    expected = [
+        (RationalPolytope.from_vertices(points), facets, subset_reference._enumerate_vertices(facets, n))
+    ]
+    vertices = subset_reference._enumerate_vertices(system, n)
+    if affine_rank(vertices) < n:  # a row cut the hull down to a face or to nothing
+        with pytest.raises(GeometryError, match="empty or lower-dimensional"):
+            RationalPolytope.from_halfspaces(system)
+    else:
+        facets = subset_reference._hull_facets(vertices, n)
+        expected.append((RationalPolytope.from_halfspaces(system), facets, vertices))
+    for P, facets, vertices in expected:
+        assert (list(P.facets), list(P.vertices)) == (facets, vertices)
+        assert list(P.incidence) == incidence_reference.incidence(P)
+        simplices = sorted(map(tuple, triangulate(P)))
+        assert simplices == sorted(map(tuple, incidence_reference.triangulate(P)))
+
+
+def test_each_constructor_runs_the_kernel_once(monkeypatch):
+    calls = []
+
+    def counted(rows, d):
+        calls.append(d)
+        return kernel(rows, d)
+
+    kernel = polytope._extreme_rays
+    monkeypatch.setattr(polytope, "_extreme_rays", counted)
+    cube = RationalPolytope.from_vertices(list(product((0, 1, Fraction(1, 2)), repeat=3)))
+    assert calls == [4]
+    redundant = [((1, 1, 1), 0), ((1, 0, 0), -1), ((2, 0, 0), 0)]
+    assert RationalPolytope.from_halfspaces(list(cube.facets) + redundant) == cube
+    assert calls == [4, 4]
 
 
 # -- exact elimination kernel -------------------------------------------------
@@ -402,7 +485,8 @@ def test_chart_unimodular_and_bijective(unit_square, triangle_23, simplex_235):
                     if sum(a * b for a, b in zip(v, pt)) == c * k
                 ]
                 mapped = sorted(
-                    chart.map_point([Fraction(t, k) for t in pt]) for pt in facet_pts
+                    chart_reference.map_point(chart, [Fraction(t, k) for t in pt])
+                    for pt in facet_pts
                 )
                 image_pts = sorted(lattice_points(chart.image, k))
                 assert mapped == image_pts
@@ -411,7 +495,7 @@ def test_chart_unimodular_and_bijective(unit_square, triangle_23, simplex_235):
 def test_chart_round_trip(triangle_23):
     chart = facet_chart(triangle_23, slanted_facet_index(triangle_23))
     for v in triangle_23.facet_vertices(chart.facet_index):
-        assert chart_reference.unmap_point(chart, chart.map_point(v)) == v
+        assert chart_reference.unmap_point(chart, chart_reference.map_point(chart, v)) == v
 
 
 def test_facet_measures(unit_square, triangle_23, simplex_235):
@@ -535,7 +619,7 @@ def test_pl_denominator_lcm():
 
 
 def test_pl_compose_affine(f_max_xy):
-    g = f_max_xy.compose_affine([[0, 1], [1, 0]], [0, 0])  # swap coordinates
+    g = chart_reference.compose_affine(f_max_xy, [[0, 1], [1, 0]], [0, 0])  # swap coordinates
     assert g.value([3, 7]) == 7
     assert g.value([7, 3]) == 7
 
