@@ -15,8 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .futaki import AmplenessError, _volume_and_average, closed_form_report, futaki_cross_check
+from .futaki import _volume_and_average, closed_form_report, futaki_cross_check
 from .mabuchi import (
+    SCALAR_DIVERGENCE_FACTOR,
     GradedQuadratureSpec,
     SymplecticPotential,
     el_residual,
@@ -27,22 +28,20 @@ from .mabuchi import (
 )
 from .pick import DEFAULT_KS, pick_check
 from .polynomial import format_fraction
-from .polytope import GeometryError
 from .quadrature import graded_integral_array
 from .rootsystem import (
     QN1_PFG_RATIO,
-    RootSystemError,
     build_classical,
     build_from_cartan,
     dh_weight,
     dimension,
 )
-from .specio import SCHEMA, SpecError, load_jobspec
+from .specio import SCHEMA, SpecError, load_jobspec, load_potential, parse_polynomial
 
 CONVENTIONS = {
     "schema": SCHEMA,
     "qn1_pfg_ratio": format_fraction(QN1_PFG_RATIO),
-    "scalar_divergence_factor": "1/2",
+    "scalar_divergence_factor": format_fraction(Fraction(SCALAR_DIVERGENCE_FACTOR)),
     "weight_sign": "R-f",
     "dh_constant_C": "1",
 }
@@ -125,9 +124,7 @@ def _cmd_pick(args) -> int:
     spec = load_jobspec(args.spec)
     ks = tuple(int(k) for k in args.kset.split(",")) if args.kset else DEFAULT_KS
     if "pick_h" in spec.options:
-        from .specio import parse_polynomial
-
-        h = parse_polynomial(spec.options["pick_h"], "spec.options.pick_h")
+        h = parse_polynomial(spec.options["pick_h"], "spec.options.pick_h", spec.polytope.dim)
     else:
         # default test function: the sum of squares, strictly convex anywhere
         from .polynomial import MultivariatePolynomial as Poly
@@ -145,26 +142,9 @@ def _cmd_pick(args) -> int:
 
 
 def _build_potential(spec, potential_path: str | None) -> SymplecticPotential:
-    perturbation = spec.potential_perturbation
-    canonical = spec.potential_canonical
+    canonical, perturbation = spec.potential_canonical, spec.potential_perturbation
     if potential_path:
-        import json as _json
-
-        from .specio import parse_polynomial
-
-        try:
-            with open(potential_path, "r", encoding="utf-8") as fh:
-                data = _json.load(fh)
-        except (OSError, _json.JSONDecodeError) as exc:
-            raise SpecError("cannot read potential file %s: %s" % (potential_path, exc))
-        if not isinstance(data, dict):
-            raise SpecError("potential file %s: expected a JSON object" % potential_path)
-        canonical = bool(data.get("canonical", True))
-        perturbation = (
-            parse_polynomial(data["perturbation"], "potential.perturbation")
-            if "perturbation" in data
-            else None
-        )
+        canonical, perturbation = load_potential(potential_path, spec.polytope.dim)
     return SymplecticPotential(
         spec.polytope, perturbation=perturbation, canonical=canonical
     )
@@ -300,10 +280,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, RootSystemError, GeometryError, AmplenessError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # every input error class derives from ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

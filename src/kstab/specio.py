@@ -23,6 +23,13 @@ class SpecError(ValueError):
     """Malformed job spec; the message names the offending field."""
 
 
+def parse_int(value, where: str) -> int:
+    """A JSON integer, taken as is: floats, strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError("%s: expected an integer, got %r" % (where, value))
+    return value
+
+
 def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise SpecError("%s: rationals must be integers or 'p/q' strings" % where)
@@ -40,9 +47,16 @@ def parse_root_system(data, where: str = "root_system") -> RootSystem:
     if not isinstance(data, dict):
         raise SpecError("%s: expected an object" % where)
     if "m_vectors" in data:
+        vectors = data["m_vectors"]
+        if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
+            raise SpecError("%s.m_vectors: expected a list of integer vectors" % where)
+        vectors = [
+            [parse_int(x, "%s.m_vectors[%d][%d]" % (where, i, j)) for j, x in enumerate(v)]
+            for i, v in enumerate(vectors)
+        ]
         try:
-            return RootSystem.from_m_vectors(data["m_vectors"])
-        except (ValueError, TypeError) as exc:
+            return RootSystem.from_m_vectors(vectors)
+        except ValueError as exc:
             raise SpecError("%s.m_vectors: %s" % (where, exc)) from None
     if "cartan" in data:
         try:
@@ -50,11 +64,12 @@ def parse_root_system(data, where: str = "root_system") -> RootSystem:
         except ValueError as exc:
             raise SpecError("%s.cartan: %s" % (where, exc)) from None
     if "series" in data:
-        rank = data.get("rank", 0)
-        if isinstance(rank, bool) or not isinstance(rank, int):
-            raise SpecError("%s.rank: expected an integer, got %r" % (where, rank))
+        series = data["series"]
+        if not isinstance(series, str):
+            raise SpecError("%s.series: expected a string, got %r" % (where, series))
+        rank = parse_int(data.get("rank", 0), "%s.rank" % where)
         try:
-            return build_classical(str(data["series"]), rank)
+            return build_classical(series, rank)
         except ValueError as exc:
             raise SpecError("%s: %s" % (where, exc)) from None
     raise SpecError("%s: need either 'series'/'rank' or 'cartan'" % where)
@@ -109,20 +124,41 @@ def parse_pl_function(data, where: str = "pl_function") -> PiecewiseAffine:
         raise SpecError("%s: %s" % (where, exc)) from None
 
 
-def parse_polynomial(data, where: str) -> MultivariatePolynomial:
+def parse_polynomial(data, where: str, dim: int | None = None) -> MultivariatePolynomial:
+    """A polynomial object; with ``dim``, its ``nvars`` must equal it."""
     if not isinstance(data, dict):
         raise SpecError("%s: expected an object" % where)
+    nvars = parse_int(data.get("nvars"), "%s.nvars" % where)
+    if dim is not None and nvars != dim:
+        raise SpecError(
+            "%s.nvars: expected %d, the polytope dimension, got %d" % (where, dim, nvars)
+        )
     try:
-        nvars = int(data["nvars"])
         terms = {}
         for i, item in enumerate(data.get("terms", [])):
-            exp = tuple(int(e) for e in item["exp"])
+            exp = tuple(
+                parse_int(e, "%s.terms[%d].exp[%d]" % (where, i, j))
+                for j, e in enumerate(item["exp"])
+            )
             terms[exp] = parse_rational(item["coef"], "%s.terms[%d].coef" % (where, i))
         return MultivariatePolynomial(nvars, terms)
     except SpecError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError("%s: %s" % (where, exc)) from None
+
+
+def parse_potential(data, where: str, dim: int) -> tuple[bool, MultivariatePolynomial | None]:
+    """A potential object: ``(canonical, perturbation)`` on a polytope of ``dim``."""
+    if not isinstance(data, dict):
+        raise SpecError("%s: expected an object" % where)
+    canonical = data.get("canonical", True)
+    if not isinstance(canonical, bool):
+        raise SpecError("%s.canonical: expected true or false, got %r" % (where, canonical))
+    perturbation = None
+    if "perturbation" in data:
+        perturbation = parse_polynomial(data["perturbation"], "%s.perturbation" % where, dim)
+    return canonical, perturbation
 
 
 @dataclass(frozen=True)
@@ -171,15 +207,9 @@ def parse_jobspec(data) -> JobSpec:
     P = parse_polytope(data["polytope"])
     f = parse_pl_function(data["pl_function"]) if "pl_function" in data else None
     R = parse_rational(data["R"], "spec.R") if "R" in data else None
-    perturbation = None
-    canonical = True
+    canonical, perturbation = True, None
     if "potential" in data:
-        pot = data["potential"]
-        if not isinstance(pot, dict):
-            raise SpecError("spec.potential: expected an object")
-        canonical = bool(pot.get("canonical", True))
-        if "perturbation" in pot:
-            perturbation = parse_polynomial(pot["perturbation"], "spec.potential.perturbation")
+        canonical, perturbation = parse_potential(data["potential"], "spec.potential", P.dim)
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise SpecError("spec.options: expected an object")
@@ -201,12 +231,20 @@ def parse_jobspec(data) -> JobSpec:
     )
 
 
-def load_jobspec(path: str) -> JobSpec:
+def _load_json(path: str, kind: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise SpecError("cannot read spec file %s: %s" % (path, exc)) from None
+        raise SpecError("cannot read %s file %s: %s" % (kind, path, exc)) from None
     except json.JSONDecodeError as exc:
-        raise SpecError("spec file %s: line %d: %s" % (path, exc.lineno, exc.msg)) from None
-    return parse_jobspec(data)
+        raise SpecError("%s file %s: line %d: %s" % (kind, path, exc.lineno, exc.msg)) from None
+
+
+def load_jobspec(path: str) -> JobSpec:
+    return parse_jobspec(_load_json(path, "spec"))
+
+
+def load_potential(path: str, dim: int) -> tuple[bool, MultivariatePolynomial | None]:
+    """A potential file, as ``parse_potential`` reads it; fields are named after the path."""
+    return parse_potential(_load_json(path, "potential"), path, dim)

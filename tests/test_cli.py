@@ -1,5 +1,8 @@
 """Command-line front end: spec parsing, reports, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +21,19 @@ SU2_SPEC = {
     "pl_function": {"pieces": [{"a": ["1"], "b": "0"}]},
     "R": "3",
 }
+
+
+SU3_SPEC = {
+    "schema": "kstab/1",
+    "root_system": {"series": "A", "rank": 2},
+    "polytope": {"vertices": [["1", "1"], ["2", "1"], ["1", "2"], ["2", "2"]]},
+    "pl_function": {"pieces": [{"a": ["1", "0"], "b": "0"}, {"a": ["0", "1"], "b": "0"}]},
+    "R": "3",
+}
+
+
+def _pick_h(nvars, exp):
+    return dict(SU3_SPEC, options={"pick_h": {"nvars": nvars, "terms": [{"exp": exp, "coef": "1"}]}})
 
 
 # A vertex too large for a float: the exact layer takes it, the walks and the
@@ -193,6 +209,60 @@ def _exit_code(argv) -> int:
             id="rank-string",
         ),
         pytest.param(
+            dict(SU2_SPEC, root_system={"series": "A", "rank": 17}),
+            ["futaki"],
+            "root_system: rank 17 exceeds the limit of 16",
+            id="rank-over-limit",
+        ),
+        pytest.param(
+            SU2_SPEC,
+            ["dims", "--series", "B", "--rank", "17", "--lambda", "1"],
+            "rank 17 exceeds the limit of 16",
+            id="dims-rank-over-limit",
+        ),
+        pytest.param(
+            dict(SU3_SPEC, root_system={"m_vectors": [[1, 0], [0, 1], [1.5, 1]]}),
+            ["futaki", "--oracle"],
+            "root_system.m_vectors[2][0]: expected an integer, got 1.5",
+            id="m-vectors-float",
+        ),
+        pytest.param(
+            dict(SU2_SPEC, root_system={"m_vectors": [["1"]]}),
+            ["futaki"],
+            "root_system.m_vectors[0][0]: expected an integer, got '1'",
+            id="m-vectors-string",
+        ),
+        pytest.param(
+            dict(SU2_SPEC, root_system={"m_vectors": [[True]]}),
+            ["futaki"],
+            "root_system.m_vectors[0][0]: expected an integer, got True",
+            id="m-vectors-bool",
+        ),
+        pytest.param(
+            _pick_h(2, [1.5, 0]),
+            ["pick"],
+            "spec.options.pick_h.terms[0].exp[0]: expected an integer, got 1.5",
+            id="pick-h-float-exp",
+        ),
+        pytest.param(
+            _pick_h("2", [2, 0]),
+            ["pick"],
+            "spec.options.pick_h.nvars: expected an integer, got '2'",
+            id="pick-h-string-nvars",
+        ),
+        pytest.param(
+            _pick_h(3, [2, 0, 0]),
+            ["pick"],
+            "spec.options.pick_h.nvars: expected 2, the polytope dimension, got 3",
+            id="pick-h-nvars-mismatch",
+        ),
+        pytest.param(
+            dict(SU2_SPEC, potential={"canonical": "false"}),
+            ["scalar"],
+            "spec.potential.canonical: expected true or false, got 'false'",
+            id="canonical-string",
+        ),
+        pytest.param(
             HUGE_SPEC, ["futaki", "--oracle"], "~1.5e+401 bounding-box lattice points", id="huge-oracle"
         ),
         pytest.param(HUGE_SPEC, ["mabuchi"], "polytope: a facet", id="huge-mabuchi"),
@@ -209,6 +279,52 @@ def test_malformed_spec_exits_2(spec, argv, message, tmp_path, monkeypatch, caps
     assert _exit_code(argv) == 2
     assert time.perf_counter() - start < 1
     assert message in capsys.readouterr().err
+
+
+# Runs kstab.cli.main in a child whose address space is capped at 1 GiB, and
+# prints the exit code and the seconds main took.
+_CAPPED_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from kstab.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(code, time.perf_counter() - start)
+"""
+
+
+def _huge_cartan_spec(rank):
+    cartan = [[2 if i == j else -(abs(i - j) == 1) for j in range(rank)] for i in range(rank)]
+    return dict(SU2_SPEC, root_system={"cartan": cartan})
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        pytest.param(["dims", "--series", "A", "--rank", "1000000", "--lambda", "1"], None,
+                     id="dims-series-A"),
+        pytest.param(["dims", "--series", "D", "--rank", "1000000", "--lambda", "1"], None,
+                     id="dims-series-D"),
+        pytest.param(["futaki", "--spec", "spec.json"],
+                     dict(SU2_SPEC, root_system={"series": "C", "rank": 1000000}), id="spec-series-C"),
+        pytest.param(["futaki", "--spec", "spec.json"], _huge_cartan_spec(300), id="spec-cartan-300"),
+    ],
+)
+def test_huge_rank_is_refused_in_bounded_memory(argv, spec, tmp_path):
+    """A huge rank exits 2 within a second, in a child capped at 1 GiB."""
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD] + argv,
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, seconds = proc.stdout.split()
+    assert int(code) == 2
+    assert float(seconds) < 1
+    assert "exceeds the limit of 16" in proc.stderr
 
 
 def test_missing_pl_function_exits_2(tmp_path):

@@ -4,8 +4,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from kstab.polytope import PiecewiseAffine, RationalPolytope, transform
+from kstab.polytope import GeometryError, PiecewiseAffine, RationalPolytope, transform
 from kstab.quadrature import boundary_integral, integral_polytope, integral_pl_poly, boundary_integral_pl_poly
 from kstab.rootsystem import QN1_PFG_RATIO, build_classical, dh_weight, dh_weight_gradient_sum
 from kstab import futaki
@@ -204,6 +206,38 @@ def test_cross_check_suite(rs_a1, rs_a2, interval_12, interval_13, square_11_22,
         report = futaki_cross_check(rs, P, f, R)
         assert report.agreement is True
         assert report.F1_closed == report.F1_oracle
+
+
+CROSS_CHECK_SYSTEMS = {1: [("A", 1)], 2: [("A", 2), ("B", 2), ("G2", 2)]}
+
+
+@st.composite
+def cross_check_cases(draw):
+    """A lattice polytope in the open positive chamber (coordinates 1-4),
+    a convex PL f with small integer gradients and offsets, an integer R
+    and a root system of the polytope's dimension."""
+    n = draw(st.integers(1, 2))
+    pts = draw(st.lists(st.tuples(*[st.integers(1, 4)] * n), min_size=n + 1, max_size=n + 3))
+    try:
+        P = RationalPolytope.from_vertices(pts)
+    except GeometryError:
+        assume(False)
+    piece = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-3, 3))
+    f = PiecewiseAffine.from_pieces(draw(st.lists(piece, min_size=1, max_size=3)))
+    R = draw(st.integers(0, 4))
+    assume(admissible_modulus(f, P, R) <= 2)
+    rs = build_classical(*draw(st.sampled_from(CROSS_CHECK_SYSTEMS[n])))
+    return rs, P, f, R
+
+
+@settings(max_examples=60, deadline=None)
+@given(cross_check_cases())
+def test_cross_check_agrees_on_random_lattice_polytopes(case):
+    """The closed form and the lattice oracle give the same F1, Vol_W and a."""
+    rs, P, f, R = case
+    report = futaki_cross_check(rs, P, f, R)
+    assert report.agreement is True
+    assert report.F1_closed == report.F1_oracle
 
 
 @pytest.mark.parametrize("field", ["vol_W", "a"])

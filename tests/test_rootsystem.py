@@ -6,8 +6,10 @@ import pytest
 
 from kstab.polynomial import MultivariatePolynomial as Poly
 from kstab.rootsystem import (
+    MAX_RANK,
     QN1_PFG_RATIO,
     RootSystemError,
+    _validate_cartan,
     build_classical,
     build_from_cartan,
     cartan_matrix,
@@ -18,6 +20,7 @@ from kstab.rootsystem import (
     homogeneous_parts,
     weyl_polynomial,
 )
+from rootsystem_reference import reference_positive_roots
 
 BUILTINS = [
     ("A", 1),
@@ -92,10 +95,33 @@ def test_positive_root_counts():
 
 
 def test_closure_agrees_with_explicit_builders():
-    for series, rank in BUILTINS:
-        explicit = build_classical(series, rank)
+    """Both routes through the closure reproduce the hand-written tables."""
+    cases = [(s, n) for s in "ABC" for n in range(1, 9)] + [("D", n) for n in range(2, 9)]
+    for series, rank in cases + [("G2", 2)]:
+        expected = reference_positive_roots(series, rank)
+        assert build_classical(series, rank).positive_roots == expected, (series, rank)
         closed = build_from_cartan(cartan_matrix(series, rank))
-        assert explicit.positive_roots == closed.positive_roots, (series, rank)
+        assert closed.positive_roots == expected, (series, rank)
+
+
+def test_builtin_cartan_matrices_are_of_finite_type():
+    """build_classical skips validation, so every built-in matrix must pass it."""
+    cases = [(s, n) for s in "ABC" for n in range(1, MAX_RANK + 1)]
+    cases += [("D", n) for n in range(2, MAX_RANK + 1)] + [("G2", 2), ("F4", 4)]
+    for series, rank in cases:
+        C = cartan_matrix(series, rank)
+        assert _validate_cartan(C) == C, (series, rank)
+
+
+def test_rank_limit():
+    for series in ("A", "B", "C", "D"):
+        assert build_classical(series, MAX_RANK).rank == MAX_RANK
+        with pytest.raises(RootSystemError, match="rank 17 exceeds the limit of 16"):
+            build_classical(series, MAX_RANK + 1)
+    too_big = cartan_matrix("A", MAX_RANK)
+    too_big = [row + [0] for row in too_big] + [[0] * MAX_RANK + [2]]
+    with pytest.raises(RootSystemError, match="rank 17 exceeds the limit of 16"):
+        build_from_cartan(too_big)
 
 
 def test_invalid_cartan_matrices():
