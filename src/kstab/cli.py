@@ -82,6 +82,22 @@ def _grid_size(text: str) -> int:
     return value
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated integers, got %r" % text) from None
+
+
+def _dilations(text: str) -> tuple[int, ...]:
+    ks = _int_list(text)
+    if min(ks) < 1:
+        raise argparse.ArgumentTypeError("dilations must be >= 1, got %d" % min(ks))
+    if len(set(ks)) < 2:
+        raise argparse.ArgumentTypeError("need at least two distinct dilations")
+    return tuple(ks)
+
+
 def _quad_spec(args) -> GradedQuadratureSpec:
     return GradedQuadratureSpec(
         depth=args.quad_depth,
@@ -122,7 +138,7 @@ def _cmd_futaki(args) -> int:
 
 def _cmd_pick(args) -> int:
     spec = load_jobspec(args.spec)
-    ks = tuple(int(k) for k in args.kset.split(",")) if args.kset else DEFAULT_KS
+    ks = args.kset or DEFAULT_KS
     if "pick_h" in spec.options:
         h = parse_polynomial(spec.options["pick_h"], "spec.options.pick_h", spec.polytope.dim)
     else:
@@ -214,8 +230,10 @@ def _cmd_dims(args) -> int:
         if not args.series:
             raise SpecError("dims: need --series/--rank or --cartan")
         rs = build_classical(args.series, args.rank)
-    lam = [int(x) for x in args.lam.split(",")]
-    value = dimension(rs, lam)
+    try:
+        value = dimension(rs, args.lam)
+    except ValueError as exc:
+        raise SpecError("--lambda: %s" % exc) from None
     print(value.numerator if value.denominator == 1 else format_fraction(value))
     return 0
 
@@ -239,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("futaki", help="closed-form Futaki invariant, optional lattice oracle")
     p.add_argument("--spec", required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check with lattice counts")
-    p.add_argument("--kmax", type=int, default=None, help="largest oracle dilation")
+    p.add_argument("--kmax", type=int, default=None, help="largest sampled oracle dilate")
     p.add_argument("--R", default=None, help="headroom constant (overrides the spec)")
     add_common(p)
     p.set_defaults(func=_cmd_futaki)
 
     p = sub.add_parser("pick", help="two-term lattice-sum asymptotics check")
     p.add_argument("--spec", required=True)
-    p.add_argument("--kset", default=None, help="comma-separated dilations, default 4,8,16,32,64")
+    p.add_argument("--kset", type=_dilations, help="comma-separated dilations, default 4,8,16,32,64")
     add_common(p)
     p.set_defaults(func=_cmd_pick)
 
@@ -270,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series")
     p.add_argument("--rank", type=int, default=0)
     p.add_argument("--cartan", help="JSON Cartan matrix")
-    p.add_argument("--lambda", dest="lam", required=True, help="comma-separated weight")
+    p.add_argument(
+        "--lambda", dest="lam", type=_int_list, required=True, help="comma-separated weight"
+    )
     p.set_defaults(func=_cmd_dims)
     return parser
 

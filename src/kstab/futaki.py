@@ -132,7 +132,7 @@ def weighted_count_dk(rs: RootSystem, P: RationalPolytope, k: int) -> Fraction:
     return Fraction(total, rs.denom)
 
 
-def admissible_modulus(f: PiecewiseAffine, P: RationalPolytope, R=None) -> int:
+def admissible_modulus(f: PiecewiseAffine, P: RationalPolytope, R) -> int:
     """Smallest progression step m such that w_k is a polynomial on k in m Z.
 
     Clears the denominators of the PL coefficients, of R, and of the vertices
@@ -140,9 +140,7 @@ def admissible_modulus(f: PiecewiseAffine, P: RationalPolytope, R=None) -> int:
     the lattice sums change shape, and each scaled cell must be an integer
     polytope for the sampled weight sum to interpolate exactly.
     """
-    dens = [f.denominator_lcm]
-    if R is not None:
-        dens.append(as_fraction(R).denominator)
+    dens = [f.denominator_lcm, as_fraction(R).denominator]
     for _, cell in pl_cells(P, f):
         for v in cell.vertices:
             dens.extend(x.denominator for x in v)
@@ -150,26 +148,18 @@ def admissible_modulus(f: PiecewiseAffine, P: RationalPolytope, R=None) -> int:
 
 
 def weighted_weight_wk(
-    rs: RootSystem,
-    P: RationalPolytope,
-    f: PiecewiseAffine,
-    R,
-    k: int,
-    *,
-    modulus: int | None = None,
+    rs: RootSystem, P: RationalPolytope, f: PiecewiseAffine, R, k: int
 ) -> Fraction:
     """w_k: total weight sum_lambda q(lambda) k (R - f(lambda/k)) / denom.
 
     With L the lcm of the denominators of f, every L k f(lambda/k) =
     max_i (<L a_i, lambda> + k L b_i) is an integer, so the walk sums
     sum q and sum q L k f as Python ints and builds one Fraction at the end.
-    Pass ``modulus`` if ``admissible_modulus(f, P, R)`` is known already.
+    The sum is exact for every k >= 1; it is a polynomial in k only along
+    multiples of ``admissible_modulus(f, P, R)``, which ``ehrhart_fit`` samples.
     """
     _require_match(rs, P)
     R = as_fraction(R)
-    m = admissible_modulus(f, P, R) if modulus is None else modulus
-    if k % m:
-        raise ValueError("k=%d is not a multiple of the admissible modulus %d" % (k, m))
     L = f.denominator_lcm
     pieces = [(tuple(int(L * x) for x in a), int(k * L * b)) for a, b in f.pieces]
     sum_q = sum_qf = 0
@@ -180,13 +170,7 @@ def weighted_weight_wk(
     return (k * R * sum_q - Fraction(sum_qf, L)) / rs.denom
 
 
-def wk_via_lift(
-    rs: RootSystem,
-    P: RationalPolytope,
-    f: PiecewiseAffine,
-    R,
-    k: int,
-) -> Fraction:
+def wk_via_lift(rs: RootSystem, P: RationalPolytope, f: PiecewiseAffine, R, k: int) -> Fraction:
     """w_k recomputed as a lattice count over the lifted polytope.
 
     Counts weighted points of the k-dilate of the region between the graph of
@@ -201,7 +185,7 @@ def wk_via_lift(
             raise ValueError(
                 "lift-based weights need integer PL gradients; scale f first"
             )
-    m = math.lcm(admissible_modulus(f, P), R.denominator)
+    m = admissible_modulus(f, P, R)
     if k % m:
         raise ValueError("k=%d is not a multiple of the admissible modulus %d" % (k, m))
     Q = lift_polytope(P, f, R)
@@ -279,69 +263,57 @@ class EhrhartFit:
         }
 
 
+def _fit_progression(
+    ks: Sequence[int], values: Sequence[Fraction], m: int, deg: int, what: str
+) -> tuple[Fraction, ...]:
+    """Coefficients in k of the degree-``deg`` polynomial through the samples.
+
+    The sums are polynomial only along k in m Z, so the first deg + 1 samples
+    are interpolated in t = k/m and coefficient j is rescaled by m^-j. Every
+    sample, held out or not, must then be reproduced exactly.
+    """
+    t_coeffs = interpolate_coefficients(
+        [Fraction(k, m) for k in ks[: deg + 1]], values[: deg + 1]
+    )
+    coeffs = tuple(c / Fraction(m) ** j for j, c in enumerate(t_coeffs))
+    for k, v in zip(ks, values):
+        if _poly_value(coeffs, Fraction(k)) != v:
+            raise ArithmeticError("%s interpolation failed at held-out k=%d" % (what, k))
+    return coeffs
+
+
 def ehrhart_fit(
-    rs: RootSystem,
-    P: RationalPolytope,
-    f: PiecewiseAffine,
-    R,
-    samples: Sequence[int] | None = None,
-    *,
-    modulus: int | None = None,
+    rs: RootSystem, P: RationalPolytope, f: PiecewiseAffine, R, kmax: int | None = None
 ) -> EhrhartFit:
     """Fit d(k) and w(k) exactly from lattice sums and extract F0, F1.
 
-    Samples must be distinct multiples of the admissible modulus; defaults to
-    the first N + n + 3 of them. Held-out samples are predicted exactly or
-    the fit is rejected. Walks over more than MAX_WALK_POINTS bounding-box
-    lattice points are refused up front. Pass ``modulus`` if
-    ``admissible_modulus(f, P, R)`` is known already.
+    Samples k = m, 2m, ... for the admissible modulus m: N + n + 3 of them,
+    or every multiple of m up to ``kmax`` when that is more. Held-out
+    samples are predicted exactly or the fit is rejected. Walks over more
+    than MAX_WALK_POINTS bounding-box lattice points are refused up front.
     """
     _require_match(rs, P)
     _require_positive_chamber(P)
     R = as_fraction(R)
     N, n = rs.num_positive_roots, rs.rank
-    m = admissible_modulus(f, P, R) if modulus is None else modulus
-    if samples is None:
-        samples = [m * t for t in range(1, N + n + 4)]
-    ks = sorted(int(k) for k in samples)
-    if len(set(ks)) != len(ks) or len(ks) < N + n + 3:
-        raise ValueError("need at least N + n + 3 distinct sample dilations")
-    if any(k % m for k in ks):
-        raise ValueError("all samples must be multiples of the admissible modulus %d" % m)
+    m = admissible_modulus(f, P, R)
+    count = N + n + 3 if kmax is None else max(N + n + 3, kmax // m)
+    ks = [m * t for t in range(1, count + 1)]
     check_walk(P, ks, "the oracle (admissible modulus %d)" % m)
     d_vals = [weighted_count_dk(rs, P, k) for k in ks]
-    w_vals = [weighted_weight_wk(rs, P, f, R, k, modulus=m) for k in ks]
-
-    deg_d, deg_w = N + n, N + n + 1
-    d_coeffs = interpolate_coefficients(
-        [Fraction(k) for k in ks[: deg_d + 1]], d_vals[: deg_d + 1]
-    )
-    # w(k) is only polynomial along the sampled progression; interpolate in
-    # t = k/m and rescale the coefficients back to the k variable.
-    w_t = interpolate_coefficients(
-        [Fraction(k, m) for k in ks[: deg_w + 1]], w_vals[: deg_w + 1]
-    )
-    w_coeffs = [c / Fraction(m) ** j for j, c in enumerate(w_t)]
-    for k, dv, wv in zip(ks, d_vals, w_vals):
-        if _poly_value(d_coeffs, Fraction(k)) != dv:
-            raise ArithmeticError("count interpolation failed at held-out k=%d" % k)
-        if _poly_value(w_coeffs, Fraction(k)) != wv:
-            raise ArithmeticError("weight interpolation failed at held-out k=%d" % k)
-
-    A = w_coeffs[deg_w] if len(w_coeffs) > deg_w else Fraction(0)
-    B = w_coeffs[deg_w - 1]
-    C = d_coeffs[deg_d] if len(d_coeffs) > deg_d else Fraction(0)
-    D = d_coeffs[deg_d - 1]
+    w_vals = [weighted_weight_wk(rs, P, f, R, k) for k in ks]
+    d_coeffs = _fit_progression(ks, d_vals, m, N + n, "count")
+    w_coeffs = _fit_progression(ks, w_vals, m, N + n + 1, "weight")
+    A, B = w_coeffs[-1], w_coeffs[-2]
+    C, D = d_coeffs[-1], d_coeffs[-2]
     if C == 0:
         raise ArithmeticError("degenerate fit: vanishing leading count coefficient")
-    pad_d = tuple(d_coeffs) + (Fraction(0),) * (deg_d + 1 - len(d_coeffs))
-    pad_w = tuple(w_coeffs) + (Fraction(0),) * (deg_w + 1 - len(w_coeffs))
     return EhrhartFit(
         ks=tuple(ks),
         d_values=tuple(d_vals),
         w_values=tuple(w_vals),
-        d_coeffs=pad_d,
-        w_coeffs=pad_w,
+        d_coeffs=d_coeffs,
+        w_coeffs=w_coeffs,
         A=A,
         B=B,
         C=C,
@@ -392,14 +364,8 @@ def futaki_cross_check(
     w_k(R + 1) = w_k(R) + k d_k by definition, so it could only return the
     same F1.
     """
-    R = as_fraction(R)
     closed = closed_form_report(rs, P, f)
-    N, n = rs.num_positive_roots, rs.rank
-    m = admissible_modulus(f, P, R)
-    samples = None
-    if kmax is not None:
-        samples = [m * t for t in range(1, max(N + n + 3, kmax // m) + 1)]
-    fit = ehrhart_fit(rs, P, f, R, samples=samples, modulus=m)
+    fit = ehrhart_fit(rs, P, f, R, kmax)
     return replace(
         closed,
         F1_oracle=fit.F1,

@@ -291,7 +291,7 @@ def dimension(rs: RootSystem, lam: Sequence[int]) -> Fraction:
     """Dimension of the highest weight representation, q(lambda)/denom."""
     lam = [int(x) for x in lam]
     if len(lam) != rs.rank:
-        raise ValueError("weight length does not match the rank")
+        raise ValueError("expected %d entries, the rank, got %d" % (rs.rank, len(lam)))
     if any(x < 0 for x in lam):
         raise ValueError("dominant integral weights have nonnegative entries")
     return Fraction(weyl_eval(rs, lam), rs.denom)

@@ -23,6 +23,16 @@ class SpecError(ValueError):
     """Malformed job spec; the message names the offending field."""
 
 
+def _check_keys(data, where: str, known: tuple[str, ...]) -> dict:
+    """``data``, once it is an object with no key outside ``known``: no misspelt key is dropped."""
+    if not isinstance(data, dict):
+        raise SpecError("%s: expected an object" % where)
+    for key in data:
+        if key not in known:
+            raise SpecError("%s: unknown key %r" % (where, key))
+    return data
+
+
 def parse_int(value, where: str) -> int:
     """A JSON integer, taken as is: floats, strings and booleans are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -44,8 +54,7 @@ def parse_rational(value, where: str) -> Fraction:
 
 
 def parse_root_system(data, where: str = "root_system") -> RootSystem:
-    if not isinstance(data, dict):
-        raise SpecError("%s: expected an object" % where)
+    _check_keys(data, where, ("series", "rank", "cartan", "m_vectors"))
     if "m_vectors" in data:
         vectors = data["m_vectors"]
         if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
@@ -76,8 +85,7 @@ def parse_root_system(data, where: str = "root_system") -> RootSystem:
 
 
 def parse_polytope(data, where: str = "polytope") -> RationalPolytope:
-    if not isinstance(data, dict):
-        raise SpecError("%s: expected an object" % where)
+    _check_keys(data, where, ("vertices", "halfspaces"))
     try:
         if "vertices" in data:
             pts = [
@@ -88,6 +96,7 @@ def parse_polytope(data, where: str = "polytope") -> RationalPolytope:
         if "halfspaces" in data:
             hs = []
             for i, item in enumerate(data["halfspaces"]):
+                _check_keys(item, "%s.halfspaces[%d]" % (where, i), ("normal", "offset"))
                 normal = [
                     parse_rational(x, "%s.halfspaces[%d].normal[%d]" % (where, i, j))
                     for j, x in enumerate(item["normal"])
@@ -103,12 +112,12 @@ def parse_polytope(data, where: str = "polytope") -> RationalPolytope:
 
 
 def parse_pl_function(data, where: str = "pl_function") -> PiecewiseAffine:
-    if not isinstance(data, dict) or "pieces" not in data:
-        raise SpecError("%s: expected an object with 'pieces'" % where)
-    if not isinstance(data["pieces"], list):
+    _check_keys(data, where, ("pieces",))
+    if not isinstance(data.get("pieces"), list):
         raise SpecError("%s.pieces: expected a list" % where)
     pieces = []
     for i, item in enumerate(data["pieces"]):
+        _check_keys(item, "%s.pieces[%d]" % (where, i), ("a", "b"))
         try:
             a = [
                 parse_rational(x, "%s.pieces[%d].a[%d]" % (where, i, j))
@@ -126,8 +135,7 @@ def parse_pl_function(data, where: str = "pl_function") -> PiecewiseAffine:
 
 def parse_polynomial(data, where: str, dim: int | None = None) -> MultivariatePolynomial:
     """A polynomial object; with ``dim``, its ``nvars`` must equal it."""
-    if not isinstance(data, dict):
-        raise SpecError("%s: expected an object" % where)
+    _check_keys(data, where, ("nvars", "terms"))
     nvars = parse_int(data.get("nvars"), "%s.nvars" % where)
     if dim is not None and nvars != dim:
         raise SpecError(
@@ -136,6 +144,7 @@ def parse_polynomial(data, where: str, dim: int | None = None) -> MultivariatePo
     try:
         terms = {}
         for i, item in enumerate(data.get("terms", [])):
+            _check_keys(item, "%s.terms[%d]" % (where, i), ("exp", "coef"))
             exp = tuple(
                 parse_int(e, "%s.terms[%d].exp[%d]" % (where, i, j))
                 for j, e in enumerate(item["exp"])
@@ -150,8 +159,7 @@ def parse_polynomial(data, where: str, dim: int | None = None) -> MultivariatePo
 
 def parse_potential(data, where: str, dim: int) -> tuple[bool, MultivariatePolynomial | None]:
     """A potential object: ``(canonical, perturbation)`` on a polytope of ``dim``."""
-    if not isinstance(data, dict):
-        raise SpecError("%s: expected an object" % where)
+    _check_keys(data, where, ("canonical", "perturbation"))
     canonical = data.get("canonical", True)
     if not isinstance(canonical, bool):
         raise SpecError("%s.canonical: expected true or false, got %r" % (where, canonical))
@@ -194,8 +202,8 @@ class JobSpec:
 
 
 def parse_jobspec(data) -> JobSpec:
-    if not isinstance(data, dict):
-        raise SpecError("spec: expected a JSON object")
+    known = ("schema", "root_system", "polytope", "pl_function", "R", "potential", "options")
+    _check_keys(data, "spec", known)
     schema = data.get("schema", SCHEMA)
     if schema != SCHEMA:
         raise SpecError("spec.schema: unsupported schema %r (want %r)" % (schema, SCHEMA))
@@ -210,9 +218,7 @@ def parse_jobspec(data) -> JobSpec:
     canonical, perturbation = True, None
     if "potential" in data:
         canonical, perturbation = parse_potential(data["potential"], "spec.potential", P.dim)
-    options = data.get("options", {})
-    if not isinstance(options, dict):
-        raise SpecError("spec.options: expected an object")
+    options = _check_keys(data.get("options", {}), "spec.options", ("pick_h",))
     if rs.rank != P.dim:
         raise SpecError(
             "spec: root system rank %d does not match polytope dimension %d"

@@ -63,7 +63,7 @@ def test_criterion_01_futaki_exactness(rs_a1, interval_12, f_identity):
     start = time.perf_counter()
     closed = futaki_closed_form(rs_a1, interval_12, f_identity)
     fits = [
-        ehrhart_fit(rs_a1, interval_12, f_identity, R, samples=range(1, 9))
+        ehrhart_fit(rs_a1, interval_12, f_identity, R, kmax=8)
         for R in (3, 4)
     ]
     elapsed = time.perf_counter() - start
@@ -77,7 +77,7 @@ def test_criterion_01_futaki_exactness(rs_a1, interval_12, f_identity):
 
 def test_criterion_02_second_futaki_case(rs_a1, interval_12, f_kink):
     closed = futaki_closed_form(rs_a1, interval_12, f_kink)
-    fit = ehrhart_fit(rs_a1, interval_12, f_kink, 2, samples=range(2, 17, 2))
+    fit = ehrhart_fit(rs_a1, interval_12, f_kink, 2, kmax=16)
     ok = closed == fit.F1 == Fraction(-35, 108)
     report(2, ok, "closed=%s oracle(even k<=16)=%s" % (closed, fit.F1))
 

@@ -263,6 +263,107 @@ def _exit_code(argv) -> int:
             id="canonical-string",
         ),
         pytest.param(
+            dict(SU2_SPEC, potentail={"canonical": False}),
+            ["pick"],
+            "spec: unknown key 'potentail'",
+            id="unknown-key-top-level",
+        ),
+        pytest.param(
+            dict(SU2_SPEC, potential={"perturbaton": {"nvars": 1, "terms": []}}),
+            ["scalar"],
+            "spec.potential: unknown key 'perturbaton'",
+            id="unknown-key-potential",
+        ),
+        pytest.param(
+            SU2_SPEC,
+            ["scalar", "--potential", "spec.json"],
+            "spec.json: unknown key 'schema'",
+            id="unknown-key-potential-file",
+        ),
+        pytest.param(
+            dict(SU3_SPEC, options={"pick_g": {}}),
+            ["pick"],
+            "spec.options: unknown key 'pick_g'",
+            id="unknown-key-options",
+        ),
+        pytest.param(
+            dict(SU2_SPEC, root_system={"series": "A", "rank": 1, "rnak": 2}),
+            ["futaki"],
+            "root_system: unknown key 'rnak'",
+            id="unknown-key-root-system",
+        ),
+        pytest.param(
+            dict(SU2_SPEC, polytope={"vertices": [["1"], ["2"]], "vertexes": []}),
+            ["futaki"],
+            "polytope: unknown key 'vertexes'",
+            id="unknown-key-polytope",
+        ),
+        pytest.param(
+            dict(SU2_SPEC, polytope={"halfspaces": [
+                {"normal": ["1"], "offset": "-1"},
+                {"normal": ["-1"], "offset": "2", "ofset": "3"},
+            ]}),
+            ["futaki"],
+            "polytope.halfspaces[1]: unknown key 'ofset'",
+            id="unknown-key-halfspace",
+        ),
+        pytest.param(
+            dict(SU2_SPEC, pl_function={"pieces": [{"a": ["1"], "b": "0"}], "piece": []}),
+            ["futaki"],
+            "pl_function: unknown key 'piece'",
+            id="unknown-key-pl-function",
+        ),
+        pytest.param(
+            dict(SU2_SPEC, pl_function={"pieces": [{"a": ["1"], "b": "0", "c": "1"}]}),
+            ["futaki"],
+            "pl_function.pieces[0]: unknown key 'c'",
+            id="unknown-key-piece",
+        ),
+        pytest.param(
+            dict(SU3_SPEC, options={"pick_h": {"nvars": 2, "terms": [], "degree": 2}}),
+            ["pick"],
+            "spec.options.pick_h: unknown key 'degree'",
+            id="unknown-key-polynomial",
+        ),
+        pytest.param(
+            dict(SU3_SPEC, options={"pick_h": {"nvars": 2, "terms": [{"exp": [2, 0], "coeff": "1"}]}}),
+            ["pick"],
+            "spec.options.pick_h.terms[0]: unknown key 'coeff'",
+            id="unknown-key-term",
+        ),
+        pytest.param(
+            SU2_SPEC,
+            ["dims", "--series", "A", "--rank", "2", "--lambda", "1.5,1"],
+            "argument --lambda: expected comma-separated integers, got '1.5,1'",
+            id="lambda-float",
+        ),
+        pytest.param(
+            SU2_SPEC,
+            ["dims", "--series", "A", "--rank", "2", "--lambda", "1,,1"],
+            "argument --lambda: expected comma-separated integers",
+            id="lambda-empty-entry",
+        ),
+        pytest.param(
+            SU2_SPEC,
+            ["dims", "--series", "A", "--rank", "2", "--lambda", "1"],
+            "--lambda: expected 2 entries, the rank, got 1",
+            id="lambda-rank-mismatch",
+        ),
+        pytest.param(
+            SU2_SPEC,
+            ["dims", "--series", "A", "--rank", "2", "--lambda", "1,-1"],
+            "--lambda: dominant integral weights have nonnegative entries",
+            id="lambda-negative",
+        ),
+        pytest.param(SU2_SPEC, ["pick", "--kset", "0,4"], "argument --kset: dilations must be >= 1",
+                     id="kset-zero"),
+        pytest.param(SU2_SPEC, ["pick", "--kset", "1.5,4"], "argument --kset: expected comma-separated",
+                     id="kset-float"),
+        pytest.param(SU2_SPEC, ["pick", "--kset", "4,,8"], "argument --kset: expected comma-separated",
+                     id="kset-empty-entry"),
+        pytest.param(SU2_SPEC, ["pick", "--kset", "4,4"],
+                     "argument --kset: need at least two distinct dilations", id="kset-one-dilation"),
+        pytest.param(
             HUGE_SPEC, ["futaki", "--oracle"], "~1.5e+401 bounding-box lattice points", id="huge-oracle"
         ),
         pytest.param(HUGE_SPEC, ["mabuchi"], "polytope: a facet", id="huge-mabuchi"),

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kstab.polytope import GeometryError, PiecewiseAffine, RationalPolytope, transform
@@ -24,6 +24,8 @@ from kstab.futaki import (
     weighted_weight_wk,
     wk_via_lift,
 )
+import fit_reference
+import walk_reference
 from chart_reference import add_constant, compose_affine
 
 
@@ -134,12 +136,19 @@ def test_admissible_modulus(interval_12, f_identity, f_kink):
     # the kink at 3/2 forces even sampling even though coefficients are integral
     assert admissible_modulus(f_kink, interval_12, 2) == 2
     assert admissible_modulus(f_identity, interval_12, Fraction(7, 3)) == 3
-    with pytest.raises(ValueError):
-        weighted_weight_wk(build_classical("A", 1), interval_12, f_kink, 2, 3)
+
+
+def test_wk_is_exact_off_the_progression(rs_a1, interval_12, f_kink):
+    """w_k is a well-defined sum at every k; only its polynomiality needs k in m Z."""
+    for k in (1, 3, 5):
+        assert weighted_weight_wk(rs_a1, interval_12, f_kink, 2, k) == walk_reference.weighted_weight_wk(
+            rs_a1, interval_12, f_kink, 2, k
+        )
 
 
 def test_ehrhart_fit_leading_coefficients(rs_a1, interval_12, f_identity):
-    fit = ehrhart_fit(rs_a1, interval_12, f_identity, 3, samples=range(1, 9))
+    fit = ehrhart_fit(rs_a1, interval_12, f_identity, 3, kmax=8)
+    assert fit.ks == tuple(range(1, 9))
     assert (fit.A, fit.B, fit.C, fit.D) == (
         Fraction(13, 6),
         Fraction(7, 2),
@@ -148,11 +157,6 @@ def test_ehrhart_fit_leading_coefficients(rs_a1, interval_12, f_identity):
     )
     assert fit.F0 == Fraction(13, 9)
     assert fit.F1 == Fraction(-2, 27)
-
-
-def test_ehrhart_fit_rejects_too_few_samples(rs_a1, interval_12, f_identity):
-    with pytest.raises(ValueError):
-        ehrhart_fit(rs_a1, interval_12, f_identity, 3, samples=[1, 2, 3])
 
 
 def test_r_shift_moves_f0_only(rs_a1, interval_12, f_identity):
@@ -238,6 +242,39 @@ def test_cross_check_agrees_on_random_lattice_polytopes(case):
     report = futaki_cross_check(rs, P, f, R)
     assert report.agreement is True
     assert report.F1_closed == report.F1_oracle
+
+
+@settings(max_examples=20, deadline=None)
+@given(cross_check_cases(), st.none() | st.tuples(st.integers(1, 2), st.integers(0, 1)))
+def test_ehrhart_fit_matches_reference_on_random_lattice_polytopes(case, more):
+    """Every field of the fit equals the explicit-samples reference, by default
+    (``more`` is None) and with a kmax that asks for 1-2 samples beyond
+    N + n + 3, on or just past a multiple of the modulus."""
+    rs, P, f, R = case
+    m = admissible_modulus(f, P, R)
+    kmax = None
+    if more is not None:
+        extra, offset = more
+        kmax = m * (rs.num_positive_roots + rs.rank + 3 + extra) + offset * (m - 1)
+    ref = fit_reference.ehrhart_fit(
+        rs, P, f, R, fit_reference.cross_check_samples(rs, m, kmax), modulus=m
+    )
+    assert ehrhart_fit(rs, P, f, R, kmax) == ref
+
+
+# Most drawn cases have f > R - 1 somewhere, so the assume below discards
+# more examples than it keeps; generation, not the check, pays for that.
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(cross_check_cases())
+def test_wk_via_lift_agrees_on_random_lattice_polytopes(case):
+    """The lift count equals the direct weight sum at k = m, 2m wherever the
+    lift exists: the gradients are integers by construction, and f <= R - 1
+    on the vertices."""
+    rs, P, f, R = case
+    assume(all(f.value(v) <= R - 1 for v in P.vertices))
+    m = admissible_modulus(f, P, R)
+    for k in (m, 2 * m):
+        assert wk_via_lift(rs, P, f, R, k) == weighted_weight_wk(rs, P, f, R, k)
 
 
 @pytest.mark.parametrize("field", ["vol_W", "a"])
