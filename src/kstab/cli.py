@@ -26,7 +26,7 @@ from .mabuchi import (
     scalar_curvature,
     _resolve_a,
 )
-from .pick import DEFAULT_KS, pick_check
+from .pick import pick_check
 from .polynomial import format_fraction
 from .quadrature import graded_integral_array
 from .rootsystem import (
@@ -138,7 +138,6 @@ def _cmd_futaki(args) -> int:
 
 def _cmd_pick(args) -> int:
     spec = load_jobspec(args.spec)
-    ks = args.kset or DEFAULT_KS
     if "pick_h" in spec.options:
         h = parse_polynomial(spec.options["pick_h"], "spec.options.pick_h", spec.polytope.dim)
     else:
@@ -150,7 +149,7 @@ def _cmd_pick(args) -> int:
             (Poly.variable(n, i) * Poly.variable(n, i) for i in range(n)),
             Poly.zero(n),
         )
-    passed, fit = pick_check(spec.polytope, h, ks=ks)
+    passed, fit = pick_check(spec.polytope, h, ks=args.kset)
     report = {"command": "pick", "passed": passed, "fit": fit.to_json_dict()}
     _write_report(report, args.out, args.no_meta)
     print("pick check: %s" % ("PASS" if passed else "FAIL"))
@@ -264,7 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pick", help="two-term lattice-sum asymptotics check")
     p.add_argument("--spec", required=True)
-    p.add_argument("--kset", type=_dilations, help="comma-separated dilations, default 4,8,16,32,64")
+    p.add_argument(
+        "--kset",
+        type=_dilations,
+        help="comma-separated extra dilations, held out from the exact fit of k^d S_k",
+    )
     add_common(p)
     p.set_defaults(func=_cmd_pick)
 

@@ -298,7 +298,7 @@ def ehrhart_fit(
     N, n = rs.num_positive_roots, rs.rank
     m = admissible_modulus(f, P, R)
     count = N + n + 3 if kmax is None else max(N + n + 3, kmax // m)
-    ks = [m * t for t in range(1, count + 1)]
+    ks = range(m, m * count + 1, m)
     check_walk(P, ks, "the oracle (admissible modulus %d)" % m)
     d_vals = [weighted_count_dk(rs, P, k) for k in ks]
     w_vals = [weighted_weight_wk(rs, P, f, R, k) for k in ks]

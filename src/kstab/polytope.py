@@ -449,21 +449,46 @@ def dilated_lattice_points(P: RationalPolytope, k: int) -> list[IntVec]:
 MAX_WALK_POINTS = 5_000_000
 
 
+def _power_sum(ks: range, n: int) -> int:
+    """Sum of k^n over a range, exactly, in O(n^2) operations (Faulhaber)."""
+    c = len(ks)
+    p: list[int] = []  # p[j] = sum of i^j over 0 <= i < c
+    for j in range(n + 1):
+        p.append((c ** (j + 1) - sum(math.comb(j + 1, r) * p[r] for r in range(j))) // (j + 1))
+    return sum(math.comb(n, j) * ks.start ** (n - j) * ks.step**j * p[j] for j in range(n + 1))
+
+
 def check_walk(P: RationalPolytope, ks: Sequence[int], who: str) -> None:
     """Refuse up front to walk more than MAX_WALK_POINTS bounding-box lattice
-    points over the dilates k P, k in ks. The count is an exact int of any
-    size, printed without a float.
+    points over the dilates k P, k in ks (a sequence or a range).
+
+    Box counts are summed exactly, and only until the total passes the
+    limit. The message then adds the dilates not yet counted: exactly for a
+    sequence, which the caller has already built, and as box volume times
+    sum k^n for a range, so that even a huge range costs a few dilates. The
+    estimate is printed without a float.
     """
     box = P.bounding_box()
-    points = sum(
-        math.prod(max(0, math.floor(hi * k) - math.ceil(lo * k) + 1) for lo, hi in box)
-        for k in ks
+
+    def count(k: int) -> int:
+        return math.prod(max(0, math.floor(hi * k) - math.ceil(lo * k) + 1) for lo, hi in box)
+
+    points = 0
+    for i, k in enumerate(ks):
+        points += count(k)
+        if points > MAX_WALK_POINTS:
+            break
+    else:
+        return
+    rest = ks[i + 1 :]
+    if isinstance(rest, range):
+        points += math.prod(hi - lo for lo, hi in box) * _power_sum(rest, P.dim)
+    else:
+        points += sum(count(k) for k in rest)
+    raise ValueError(
+        "%s would walk ~%s bounding-box lattice points over %d dilates; the limit is %.0e"
+        % (who, format(Decimal(int(points)), ".1e"), len(ks), MAX_WALK_POINTS)
     )
-    if points > MAX_WALK_POINTS:
-        raise ValueError(
-            "%s would walk ~%s bounding-box lattice points over %d dilates; the limit is %.0e"
-            % (who, format(Decimal(points), ".1e"), len(ks), MAX_WALK_POINTS)
-        )
 
 
 def lattice_points(P: RationalPolytope, k: int) -> list[Point]:

@@ -366,6 +366,11 @@ def _exit_code(argv) -> int:
         pytest.param(
             HUGE_SPEC, ["futaki", "--oracle"], "~1.5e+401 bounding-box lattice points", id="huge-oracle"
         ),
+        pytest.param(
+            SU3_SPEC, ["futaki", "--oracle", "--kmax", "1000000"],
+            "would walk ~3.3e+17 bounding-box lattice points over 1000000 dilates",
+            id="kmax-million",
+        ),
         pytest.param(HUGE_SPEC, ["mabuchi"], "polytope: a facet", id="huge-mabuchi"),
         pytest.param(HUGE_SPEC, ["pick"], "pick would walk ~", id="huge-pick"),
     ],
@@ -442,6 +447,16 @@ def test_shipped_reports_match_golden(name, tmp_path):
     spec = str(REPO / "specs" / ("%s.json" % name))
     assert main(["futaki", "--spec", spec, "--oracle", "--no-meta", "--out", str(out)]) == 0
     golden = REPO / "tests" / "golden" / ("futaki_oracle_%s.json" % name)
+    assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["su2_interval", "su3_square"])
+def test_shipped_pick_reports_match_golden(name, tmp_path):
+    """The shipped specs' exact pick reports, byte for byte."""
+    out = tmp_path / "report.json"
+    spec = str(REPO / "specs" / ("%s.json" % name))
+    assert main(["pick", "--spec", spec, "--no-meta", "--out", str(out)]) == 0
+    golden = REPO / "tests" / "golden" / ("pick_%s.json" % name)
     assert out.read_bytes() == golden.read_bytes()
 
 

@@ -2,8 +2,21 @@
 import math
 from fractions import Fraction
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import pick_reference
+from kstab import pick
+from kstab.futaki import _poly_value
 from kstab.polynomial import MultivariatePolynomial as Poly
-from kstab.polytope import RationalPolytope, facet_lattice_count, facet_measure
+from kstab.polytope import (
+    GeometryError,
+    RationalPolytope,
+    facet_lattice_count,
+    facet_measure,
+    lattice_points,
+)
 from kstab.pick import pick_check, pick_fit, pick_sum
 from kstab.quadrature import boundary_integral, integral_polytope
 from kstab.rootsystem import weyl_polynomial
@@ -123,5 +136,104 @@ def test_pick_fit_serialization(unit_square):
     x = Poly.variable(2, 0)
     fit = pick_fit(unit_square, x, ks=(2, 4, 8))
     data = fit.to_json_dict()
-    assert data["k"] == [2, 4, 8]
+    assert data["k"] == [1, 2, 3, 4, 5, 6, 8]
     assert Fraction(data["c_top"]) == fit.c_top
+
+
+def interior_sum(P, h, k):
+    """Sum of h over the (1/k)-lattice points of the open polytope."""
+    return sum(
+        (
+            h.evaluate(x)
+            for x in lattice_points(P, k)
+            if all(sum(a * b for a, b in zip(v, x)) > c for v, c in P.facets)
+        ),
+        Fraction(0),
+    )
+
+
+def test_pick_fit_interpolates_weighted_ehrhart_polynomial(unit_square):
+    """k^2 S_k on the unit square with h = x^2 + y^2 is criterion 6's
+    (2/3)k^4 + (5/3)k^3 + (4/3)k^2 + (1/3)k, walked at k = 1..7 only."""
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    fit = pick_fit(unit_square, x * x + y * y)
+    assert fit.ks == tuple(range(1, 8))
+    assert list(fit.poly) == [0, Fraction(1, 3), Fraction(4, 3), Fraction(5, 3), Fraction(2, 3)]
+    assert fit.to_json_dict()["poly"] == ["0", "1/3", "4/3", "5/3", "2/3"]
+    assert fit.diagnostics == ()
+    assert all(isinstance(r, Fraction) for r in fit.residuals)
+
+
+def test_pick_reciprocity_on_unit_square(unit_square):
+    """E(-k) = (-1)^(n+d) k^d times the interior sum, at k = 2, 3."""
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    h = x * x + y * y
+    fit = pick_fit(unit_square, h)
+    for k in (2, 3):
+        assert _poly_value(fit.poly, Fraction(-k)) == k**2 * interior_sum(unit_square, h, k)
+    assert interior_sum(unit_square, h, 2) == Fraction(1, 2)
+
+
+def test_pick_exact_path_refuses_non_integer_polytope():
+    P = RationalPolytope.from_vertices([[0], [Fraction(1, 2)]])
+    with pytest.raises(ValueError, match="integer polytope"):
+        pick_fit(P, Poly.variable(1, 0))
+
+
+def test_pick_exact_path_reads_no_ratio_bound(monkeypatch, unit_square):
+    """Polynomial h passes on the fit alone, whatever the decay slack."""
+    monkeypatch.setattr(pick, "RATIO_BOUND_HIGH_DIM", -1.0)
+    monkeypatch.setattr(pick, "RATIO_BOUND_DIM_ONE", -1.0)
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    passed, fit = pick_check(unit_square, x * x + y * y, ks=(16,))
+    assert passed and fit.exact
+
+
+@pytest.mark.parametrize("name", ["pick_sum", "integral_polytope", "boundary_integral"])
+def test_pick_exact_check_fails_when_off(monkeypatch, unit_square, name):
+    """A lattice sum at the last held-out dilate, or either integral, off by
+    1e-9 fails the check."""
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    real = getattr(pick, name)
+    if name == "pick_sum":
+        off = lambda P, h, k: real(P, h, k) + Fraction(k == 7, 10**9)
+    else:
+        off = lambda h, P: real(h, P) + Fraction(1, 10**9)
+    monkeypatch.setattr(pick, name, off)
+    passed, _ = pick_check(unit_square, x * x + y * y)
+    assert passed is False
+
+
+@st.composite
+def pick_cases(draw):
+    """An integer polytope in dimension 1-3 and an integer h of degree <= 3."""
+    n = draw(st.integers(1, 3))
+    coord = st.integers(0, (4, 2, 1)[n - 1])
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 3))
+    try:
+        P = RationalPolytope.from_vertices(pts)
+    except GeometryError:
+        assume(False)
+    exp = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    coef = st.integers(-3, 3).filter(bool)
+    h = Poly(n, draw(st.dictionaries(exp, coef, min_size=1, max_size=4)))
+    return P, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(pick_cases())
+def test_pick_fit_matches_integrals_on_random_lattice_polytopes(case):
+    """The fitted top coefficients are the exact integrals and the decay
+    reference's pinned values; E predicts k^d S_k one dilate past the walk,
+    and E(-k) is the signed interior sum (reciprocity) at k = 2, 3."""
+    P, h = case
+    n, d = P.dim, max(h.degree(), 0)
+    passed, fit = pick_check(P, h)
+    ref = pick_reference.pick_fit(P, h, ks=(1, 2))
+    assert passed is True
+    assert fit.c_top == integral_polytope(h, P) == ref.c_top
+    assert fit.c_next == boundary_integral(h, P) / 2 == ref.c_next
+    k = max(fit.ks) + 1
+    assert _poly_value(fit.poly, Fraction(k)) == k**d * pick_sum(P, h, k)
+    for k in (2, 3):
+        assert _poly_value(fit.poly, Fraction(-k)) == (-1) ** (n + d) * k**d * interior_sum(P, h, k)

@@ -635,3 +635,26 @@ def test_pl_duplicate_and_dominated_pieces(interval_12):
     cells = pl_cells(interval_12, f)
     assert len(cells) == 1  # duplicates merged, dominated piece dropped
     assert cells[0][1].volume() == 1
+
+
+@pytest.mark.parametrize(
+    "start, stop, step", [(1, 1, 1), (1, 2, 1), (3, 40, 1), (7, 500, 7), (5, 6, 9)]
+)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_power_sum_matches_term_by_term(start, stop, step, n):
+    ks = range(start, stop, step)
+    assert polytope._power_sum(ks, n) == sum(k**n for k in ks)
+
+
+def test_check_walk_counts_a_range_and_its_tuple_alike():
+    """A range stops being summed at the limit and estimates the rest by the
+    box volume; its message agrees with the exact tuple's to two digits."""
+    P = RationalPolytope.from_vertices([[0, 0], [Fraction(5, 2), 0], [0, 3]])
+    messages = []
+    for ks in (range(4, 4000, 4), tuple(range(4, 4000, 4))):
+        with pytest.raises(ValueError) as info:
+            polytope.check_walk(P, ks, "walk")
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "~4.0e+10 bounding-box lattice points over 999 dilates" in messages[0]
+    polytope.check_walk(P, range(4, 200, 4), "walk")  # 4,877,999 points: allowed
