@@ -93,8 +93,6 @@ def _dilations(text: str) -> tuple[int, ...]:
     ks = _int_list(text)
     if min(ks) < 1:
         raise argparse.ArgumentTypeError("dilations must be >= 1, got %d" % min(ks))
-    if len(set(ks)) < 2:
-        raise argparse.ArgumentTypeError("need at least two distinct dilations")
     return tuple(ks)
 
 
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kset",
         type=_dilations,
-        help="comma-separated extra dilations, held out from the exact fit of k^d S_k",
+        help="one or more comma-separated extra dilations, held out from the exact fit of k^d S_k",
     )
     add_common(p)
     p.set_defaults(func=_cmd_pick)

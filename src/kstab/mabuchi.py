@@ -10,9 +10,11 @@ scalar curvature operator is assembled analytically,
 
     S(x) = -1/2 p^{-1} (p u^{jk})_{jk} + f_G,
 
-with derivatives of the inverse Hessian taken via dG = -G (dH) G and its
-second-order analogue rather than finite differences: near the boundary the
-Hessian degenerates and naive differencing falls apart. The Mabuchi energy
+with the derivatives of the inverse Hessian G = (u_jk)^{-1} contracted
+analytically through dG = -G (dH) G rather than taken by finite differences:
+near the boundary the Hessian degenerates and naive differencing falls
+apart. The second derivatives of G never appear as a tensor; see
+_divergence_pg. The Mabuchi energy
 
     F_A(u) = -int_P log det(u_jk) W dmu + 2 int_bd u W dsigma - int_P A u W dmu
 
@@ -22,11 +24,15 @@ supported du) gets a finite-difference cross-check.
 
 Potentials, bumps, scalar_curvature and el_residual take one point or an
 (m, n) array of points, through one code path that broadcasts over the
-leading axes: a potential builds its facet tensors v_F v_F^T, v_F^(x3) and
-v_F^(x4) once, its derivatives are einsum contractions against 1/l_F^k, and
-the positive-definiteness check is one stacked Cholesky factorization, whose
-diagonal also gives log det for the energy. mabuchi_eval evaluates its three
-integrands on whole chunks of the flattened graded rule.
+leading axes. A potential builds its derivative tables once: for each order
+k <= 4, the perturbation's partial derivatives are one float exponent
+matrix and one coefficient matrix (one power product and one matmul
+evaluate them all), and the canonical part is w_k(l) @ c_k v_F^(xk) with the
+facet tensors flattened to (F, n^k). The weight p, q_{N-1}, dp and d2p come
+from one such table. The positive-definiteness check is one stacked
+Cholesky factorization, whose diagonal also gives log det for the energy.
+mabuchi_eval evaluates its three integrands on whole chunks of the
+flattened graded rule.
 
 A, the right-hand side of the critical-point equation, is None, a preset
 name (make_a_preset) or a callable. A callable receives an (m, n) array of
@@ -38,12 +44,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .polynomial import MultivariatePolynomial
+from .polynomial import MultivariatePolynomial, evaluate_table, float_table
 from .polytope import RationalPolytope, facet_chart
 from .quadrature import (
     GradedQuadratureSpec,
@@ -73,27 +79,15 @@ class DomainError(ValueError):
     """Evaluation requested outside the open polytope."""
 
 
-def _partials(g: MultivariatePolynomial, order: int) -> list:
-    """g's nonzero partial derivatives of one order, one per multiset of
-    variables, each with the index tuples it fills."""
-    table = []
+def _partials(g: MultivariatePolynomial, order: int) -> list[MultivariatePolynomial]:
+    """g's partial derivatives of one order, in C order over the index tuples (n,)*order."""
+    by_multiset = {}
     for combo in combinations_with_replacement(range(g.nvars), order):
         q = g
         for i in combo:
             q = q.partial(i)
-        if not q.is_zero:
-            table.append((q, sorted(set(permutations(combo)))))
-    return table
-
-
-def _evaluate_partials(table: list, x: np.ndarray, order: int) -> np.ndarray:
-    """The derivative tensor of a _partials table at x, shape x.shape[:-1] + (n,)*order."""
-    out = np.zeros(x.shape[:-1] + (x.shape[-1],) * order)
-    for q, slots in table:
-        value = q.evaluate_float(x)
-        for s in slots:
-            out[(Ellipsis,) + s] = value
-    return out[()]
+        by_multiset[combo] = q
+    return [by_multiset[tuple(sorted(c))] for c in product(range(g.nvars), repeat=order)]
 
 
 def _cholesky(H: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -132,70 +126,84 @@ class SymplecticPotential:
         self.polytope = polytope
         self.canonical = canonical
         self.perturbation = perturbation
-        # facet normals v_F and offsets, and the tensors v v^T, v^(x3), v^(x4)
         try:
             V = np.array([[float(a) for a in v] for v, _ in polytope.facets])
             self._offsets = np.array([float(c) for _, c in polytope.facets])
         except OverflowError:
             raise PotentialError("polytope: a facet normal or offset overflows a float") from None
-        self._V = V
-        self._VV = np.einsum("fi,fj->fij", V, V)
-        self._VVV = np.einsum("fc,fij->fcij", V, self._VV)
-        self._VVVV = np.einsum("fd,fcij->fcdij", V, self._VVV)
+        self._Vt = V.T
+        # u_sigma's k-th derivative is w_k(l) @ c_k v_F^(xk), with v_F^(xk)
+        # flattened to (F, n^k), w_k = l log l, log l + 1, 1/l, 1/l^2, 1/l^3
+        # and c_k = 1/2, 1/2, 1/2, -1/2, 1 (all 0 when not canonical)
+        powers = [np.ones((len(V), 1))]
+        for _ in range(4):
+            powers.append((powers[-1][:, :, None] * V[:, None, :]).reshape(len(V), -1))
+        scales = (0.5, 0.5, 0.5, -0.5, 1.0) if canonical else (0.0,) * 5
+        self._facet_tensors = [c * a for c, a in zip(scales, powers)]
+        # the perturbation's k-th partials as one table, None when all vanish
         g = perturbation or MultivariatePolynomial.zero(polytope.dim)
-        self._g = [_partials(g, order) for order in range(5)]
+        tables = [float_table(_partials(g, order)) for order in range(5)]
+        self._g = [t if len(t[0]) else None for t in tables]
         self.hessian(np.array(interior_grid(polytope, 9)))  # raises when not PD
 
     def _l_values(self, x, allow_boundary: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """x as floats and l_F(x) (..., F); DomainError names the first point outside."""
+        """x as floats and l_F(x) (..., F); DomainError names the first point
+        where l_F > 0 (l_F >= 0 with allow_boundary) fails, NaN included."""
         x = np.asarray(x, dtype=float)
-        ls = np.einsum("...i,fi->...f", x, self._V) - self._offsets
-        outside = (ls < 0 if allow_boundary else ls <= 0).any(axis=-1)
-        if outside.any():
-            first = x.reshape(-1, x.shape[-1])[outside.reshape(-1).argmax()]
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite l fails below
+            ls = x @ self._Vt - self._offsets
+        inside = ls >= 0 if allow_boundary else ls > 0
+        if not inside.all():
+            first = x.reshape(-1, x.shape[-1])[inside.all(axis=-1).reshape(-1).argmin()]
             raise DomainError(
                 "point %r is outside the %s polytope"
                 % (tuple(first.tolist()), "closed" if allow_boundary else "open")
             )
         return x, ls
 
+    def _derivative(self, x: np.ndarray, order: int, w: np.ndarray) -> np.ndarray:
+        """The order-th derivative tensor at x, from w = w_order(l) (..., F):
+        the canonical part w @ c v_F^(x order) plus the perturbation's table.
+
+        Odd orders cancel to 0 at a centre of symmetry. For them einsum adds
+        the rounded facet terms in facet order, as the per-facet sums do, so
+        the 0 stays exact; a BLAS matmul's fused multiply-adds leave ~1e-16.
+        """
+        T = self._facet_tensors[order]
+        out = np.einsum("...f,fk->...k", w, T) if order % 2 else w @ T
+        if self._g[order] is not None:
+            out += evaluate_table(self._g[order], x)
+        return out.reshape(x.shape[:-1] + x.shape[-1:] * order)[()]
+
+    # The methods below overwrite the fresh array l with w_k(l), so that only
+    # one (..., F) array is alive per chunk of nodes.
+
     def value(self, x, allow_boundary: bool = False):
         x, ls = self._l_values(x, allow_boundary)
-        total = _evaluate_partials(self._g[0], x, 0)
-        if self.canonical:  # l log l -> 0 on the boundary
-            total = 0.5 * (ls * np.log(np.where(ls > 0, ls, 1.0))).sum(axis=-1) + total
-        return total
+        ls *= np.log(np.where(ls > 0, ls, 1.0))  # l log l -> 0 on the boundary
+        return self._derivative(x, 0, ls)
 
     def gradient(self, x) -> np.ndarray:
         x, ls = self._l_values(x)
-        out = _evaluate_partials(self._g[1], x, 1)
-        if self.canonical:
-            out = np.einsum("...f,fi->...i", 0.5 * (np.log(ls) + 1.0), self._V) + out
-        return out
+        np.log(ls, out=ls)
+        ls += 1.0
+        return self._derivative(x, 1, ls)
 
     def hessian(self, x) -> np.ndarray:
         x, ls = self._l_values(x)
-        H = _evaluate_partials(self._g[2], x, 2)
-        if self.canonical:
-            H = np.einsum("...f,fij->...ij", 0.5 / ls, self._VV) + H
+        H = self._derivative(x, 2, np.reciprocal(ls, out=ls))
         _cholesky(H, x)
         return H
 
     def d_hessian(self, x) -> np.ndarray:
         """Third derivatives: [..., c, i, j] is d/dx_c of the Hessian entry (i, j)."""
         x, ls = self._l_values(x)
-        out = _evaluate_partials(self._g[3], x, 3)
-        if self.canonical:
-            out = np.einsum("...f,fcij->...cij", -0.5 / ls**2, self._VVV) + out
-        return out
+        return self._derivative(x, 3, np.power(ls, -2, out=ls))
 
     def d2_hessian(self, x) -> np.ndarray:
         """Fourth derivatives: [..., c, d, i, j] is d/dx_c d/dx_d of the Hessian entry (i, j)."""
         x, ls = self._l_values(x)
-        out = _evaluate_partials(self._g[4], x, 4)
-        if self.canonical:
-            out = np.einsum("...f,fcdij->...cdij", 1.0 / ls**3, self._VVVV) + out
-        return out
+        return self._derivative(x, 4, np.power(ls, -3, out=ls))
 
 
 class _PerturbedPotential:
@@ -244,42 +252,50 @@ def interior_grid(P: RationalPolytope, count: int) -> list[tuple[float, ...]]:
 
 @lru_cache(maxsize=None)
 def _weight_data(rs: RootSystem):
-    p = dh_weight(rs)
-    return p, dh_weight_gradient_sum(rs), _partials(p, 1), _partials(p, 2)
+    """p, q_{N-1}, and one table whose columns are p, q_{N-1}, dp and d2p (C order)."""
+    p, q1 = dh_weight(rs), dh_weight_gradient_sum(rs)
+    return p, q1, float_table([p, q1] + _partials(p, 1) + _partials(p, 2))
 
 
-def _divergence_pg(rs: RootSystem, u, x: np.ndarray, pv) -> np.ndarray:
-    """sum_{j,k} d_j d_k (p u^{jk}) at x, assembled analytically; pv = p(x)."""
-    _, _, dp_table, d2p_table = _weight_data(rs)
-    dp = _evaluate_partials(dp_table, x, 1)
-    d2p = _evaluate_partials(d2p_table, x, 2)
+def _divergence_pg(rs: RootSystem, u, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p(x), q_{N-1}(x) and sum_{j,k} d_j d_k (p u^{jk}) at x, assembled analytically.
+
+    With G = (u_jk)^{-1}, d_c G = -G (d_c u_jk) G and the third and fourth
+    derivatives u_(3), u_(4) of u, both fully symmetric, the sum is
+
+        <d2p, G> - <2 dp - p t, G t> + p (|u_(3)|_G^2 - <G (x) G, u_(4)>)
+
+    with t_j = sum_{c,i} G_ci u_cij and |u_(3)|_G^2 the contraction of u_(3)
+    with itself through G on all three index pairs; no second derivative of
+    G is formed. The Hessian comes first, so a point outside the open
+    polytope raises DomainError before p is evaluated.
+    """
     G = np.linalg.inv(u.hessian(x))
-    GdH = G[..., None, :, :] @ u.d_hessian(x)  # G dH_c
-    dG = -GdH @ G[..., None, :, :]  # d_c G = -G dH_c G
-    # (d_j d_k G)_{jk}, with d_j d_k G = -G d2H_jk G - G dH_j d_k G - G dH_k d_j G
-    d2G = (
-        -np.einsum("...ja,...jkab,...bk->...jk", G, u.d2_hessian(x), G)
-        - np.einsum("...jja,...kak->...jk", GdH, dG)
-        - np.einsum("...kja,...jak->...jk", GdH, dG)
-    )
-    terms = (
-        d2p * G
-        + dp[..., :, None] * np.einsum("...kjk->...jk", dG)
-        + dp[..., None, :] * np.einsum("...jjk->...jk", dG)
-        + pv[..., None, None] * d2G
-    )
-    return terms.sum(axis=(-2, -1))
+    x = np.asarray(x, dtype=float)
+    n, batch = x.shape[-1], x.shape[:-1]
+    T = u.d_hessian(x).reshape(batch + (n, n * n))  # u_cij as [c, (i j)]
+    D = u.d2_hessian(x).reshape(batch + (n * n, n * n))  # u_cdij as [(c d), (i j)]
+    jet = evaluate_table(_weight_data(rs)[2], x)
+    pv, q1v, dp, d2p = jet[..., 0], jet[..., 1], jet[..., 2 : 2 + n], jet[..., 2 + n :]
+    g = G.reshape(batch + (n * n,))
+    GG = (G[..., :, None, :, None] * G[..., None, :, None, :]).reshape(D.shape)  # G_ci G_dj
+    t = (g[..., None, :] @ T.reshape(batch + (n * n, n)))[..., 0, :]  # sum_{c,i} G_ci u_cij
+    Gt = (G @ t[..., None])[..., 0]
+    # <g, T GG T^T> is |u_(3)|_G^2, and <g, D g> = <G (x) G, u_(4)> by symmetry
+    u3 = (T @ GG @ T.swapaxes(-1, -2)).reshape(g.shape)
+    u4 = (D @ g[..., None])[..., 0]
+    div = ((d2p + pv[..., None] * (u3 - u4)) * g).sum(axis=-1) - (
+        (2.0 * dp - pv[..., None] * t) * Gt
+    ).sum(axis=-1)
+    return pv, q1v, div
 
 
 def scalar_curvature(rs: RootSystem, u, x):
     """S(x) for the metric encoded by u, at a point or every row of an (m, n) array."""
     _require_match(rs, u.polytope)
     _require_positive_chamber(u.polytope)
-    p, q1, _, _ = _weight_data(rs)
-    x = np.asarray(x, dtype=float)
-    pv = p.evaluate_float(x)
-    f_g = 2.0 * q1.evaluate_float(x) / pv
-    return -SCALAR_DIVERGENCE_FACTOR * _divergence_pg(rs, u, x, pv) / pv + f_g
+    pv, q1v, div = _divergence_pg(rs, u, x)
+    return (2.0 * q1v - SCALAR_DIVERGENCE_FACTOR * div) / pv
 
 
 def _a_values(A: Callable, x: np.ndarray):
@@ -295,10 +311,8 @@ def _a_values(A: Callable, x: np.ndarray):
 
 def el_residual(rs: RootSystem, u, A, x):
     """Residual of the critical-point equation: -W^{-1}(W u^{jk})_{jk} - A."""
-    p = _weight_data(rs)[0]
-    x = np.asarray(x, dtype=float)
-    pv = p.evaluate_float(x)
-    return -_divergence_pg(rs, u, x, pv) / pv - _a_values(A, x)
+    pv, _, div = _divergence_pg(rs, u, x)
+    return -div / pv - _a_values(A, np.asarray(x, dtype=float))
 
 
 def make_a_preset(rs: RootSystem, P: RationalPolytope, name: str) -> Callable:
@@ -311,7 +325,7 @@ def make_a_preset(rs: RootSystem, P: RationalPolytope, name: str) -> Callable:
     name = name.lower()
     if name == "zero":
         return lambda x: 0.0
-    p, q1, _, _ = _weight_data(rs)
+    p, q1, _ = _weight_data(rs)
     a = float(average_scalar(rs, P))
 
     def a_minus_fg(x):

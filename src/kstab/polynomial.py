@@ -31,6 +31,31 @@ def format_fraction(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def float_table(polys: Sequence[MultivariatePolynomial]) -> tuple[np.ndarray, np.ndarray]:
+    """Float exponents (T, n) of the monomials of polys, in canonical term
+    order, and coefficients (T, len(polys)): column j holds polys[j], so one
+    power product and one matmul evaluate them all (evaluate_table)."""
+    monomials = sorted({e for q in polys for e in q._terms}, key=lambda e: (sum(e), e))
+    row = {e: t for t, e in enumerate(monomials)}
+    coefs = np.zeros((len(monomials), len(polys)))
+    for j, q in enumerate(polys):
+        for e, c in q._terms.items():
+            coefs[row[e], j] = float(c)
+    return np.array(monomials, dtype=float).reshape(len(monomials), polys[0].nvars), coefs
+
+
+def evaluate_table(table: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """The polynomials of a float_table at x (..., n): x.shape[:-1] + coefs.shape[1:].
+
+    A coefficient matrix is one matmul. A coefficient vector (one polynomial)
+    is summed per point instead, so that a point and the same row of an array
+    give the same bits. A table without monomials gives zeros.
+    """
+    exps, coefs = table
+    powers = (x[..., None, :] ** exps).prod(axis=-1)
+    return powers @ coefs if coefs.ndim == 2 else (powers * coefs).sum(axis=-1)
+
+
 class MultivariatePolynomial:
     """Sparse polynomial in a fixed number of variables.
 
@@ -256,12 +281,9 @@ class MultivariatePolynomial:
         if x.shape[-1:] != (self.nvars,):
             raise ValueError("point dimension mismatch")
         if self._floats is None:
-            terms = self.sorted_terms()
-            exps = np.array([e for e, _ in terms], dtype=float).reshape(len(terms), self.nvars)
-            coefs = np.array([float(c) for _, c in terms])
-            object.__setattr__(self, "_floats", (exps, coefs))
-        exps, coefs = self._floats
-        return ((x[..., None, :] ** exps).prod(axis=-1) * coefs).sum(axis=-1)
+            exps, coefs = float_table([self])
+            object.__setattr__(self, "_floats", (exps, coefs[:, 0]))
+        return evaluate_table(self._floats, x)
 
     def substitute_affine(self, matrix: Sequence[Sequence], shift: Sequence) -> "MultivariatePolynomial":
         """Substitute x_i = shift[i] + sum_j matrix[i][j] * y_j, exactly.

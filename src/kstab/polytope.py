@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .polynomial import MultivariatePolynomial, as_fraction
@@ -306,6 +307,11 @@ class RationalPolytope:
         return all(
             x.denominator == 1 for p in self.vertices for x in p
         ) and all(c.denominator == 1 for _, c in self.facets)
+
+    @cached_property
+    def in_positive_chamber(self) -> bool:
+        """True when every vertex has strictly positive coordinates; computed once."""
+        return all(x > 0 for p in self.vertices for x in p)
 
     def centroid(self) -> Point:
         n = len(self.vertices)
@@ -717,4 +723,4 @@ def transform(P: RationalPolytope, g: Sequence[Sequence[int]]) -> RationalPolyto
 
 def is_in_positive_chamber(P: RationalPolytope) -> bool:
     """True when every vertex has strictly positive coordinates."""
-    return all(x > 0 for p in P.vertices for x in p)
+    return P.in_positive_chamber

@@ -133,6 +133,16 @@ class PointwisePotential:
             total += evaluate_float(self.perturbation, x)
         return total
 
+    def gradient(self, x) -> np.ndarray:
+        ls = self._ls(x)
+        out = np.zeros(self.polytope.dim)
+        if self.canonical:
+            for (v, _), l in zip(self._facets, ls):
+                out += 0.5 * (math.log(l) + 1.0) * v
+        if self._d is not None:
+            out += np.array([evaluate_float(q, x) for q in self._d[0]])
+        return out
+
     def hessian(self, x) -> np.ndarray:
         ls = self._ls(x)
         n = self.polytope.dim

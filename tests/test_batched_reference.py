@@ -16,13 +16,26 @@ from kstab.quadrature import GradedQuadratureSpec, graded_rule
 from kstab.rootsystem import build_classical
 
 RS = {1: build_classical("A", 1), 2: build_classical("A", 2)}
+# the root systems of each rank that the potential property draws from
+SERIES = {1: ("A",), 2: ("A", "B", "G2"), 3: ("A", "B")}
 
 
-def _close(new, old, rel=1e-12):
-    """Entrywise |new - old| <= rel * max |old|."""
+def _close(new, old, rel=1e-12, scale=None):
+    """Entrywise |new - old| <= rel * scale, by default scale = max |old|."""
     new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
     assert new.shape == old.shape
-    assert np.abs(new - old).max() <= rel * max(np.abs(old).max(), 1e-300), (new, old)
+    if scale is None:
+        scale = np.abs(old).max()
+    assert np.abs(new - old).max() <= rel * max(scale, 1e-300), (new, old)
+
+
+def _term_scale(u, pts):
+    """Per point, the sum over facets of |log l_F + 1| max|v_F| / 2: the size
+    of the terms of u_sigma's gradient. It bounds the rounding error when
+    they cancel, as they may to ~0, where max |gradient| does not."""
+    V = np.array([[float(a) for a in v] for v, _ in u.polytope.facets])
+    ls = pts @ V.T - np.array([float(c) for _, c in u.polytope.facets])
+    return (np.abs(np.log(ls) + 1.0) / 2 * np.abs(V).max(axis=1)).sum(axis=-1)
 
 
 @st.composite
@@ -69,18 +82,21 @@ def test_flattened_rule_matches_recursion(P, data):
 
 @st.composite
 def potentials(draw):
-    """A1 interval or A2 lattice polygon in the positive chamber, with a small
-    perturbation of degree <= 4."""
-    n = draw(st.integers(1, 2))
+    """A lattice polytope in the positive chamber of dimension 1-3 with a small
+    perturbation of degree <= 4, and a root system of its rank: A1; A2, B2 or
+    G2; A3 or B3."""
+    n = draw(st.integers(1, 3))
     if n == 1:
         a = draw(st.integers(1, 3))
         P = RationalPolytope.from_vertices([[a], [a + draw(st.integers(1, 3))]])
     else:
-        pts = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=3, max_size=6))
+        coord = st.integers(1, 4 if n == 2 else 3)
+        pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=6))
         try:
             P = RationalPolytope.from_vertices(pts)
         except GeometryError:
             assume(False)
+    rs = build_classical(draw(st.sampled_from(SERIES[n])), n)
     exps = st.tuples(*[st.integers(0, 4)] * n).filter(lambda e: sum(e) <= 4)
     coef = st.fractions(min_value=-1, max_value=1, max_denominator=40).map(lambda c: c / 40)
     g = Poly(n, draw(st.dictionaries(exps, coef, max_size=5)))
@@ -98,13 +114,13 @@ def potentials(draw):
         lam = np.array(draw(st.lists(st.integers(0, 9), min_size=len(verts), max_size=len(verts)))) + 1e-9
         t = draw(st.sampled_from([0.0, 0.3, 0.9, 0.999]))
         pts.append(c + t * (lam / lam.sum() @ verts - c))
-    return u, np.array(pts), verts
+    return u, np.array(pts), verts, rs
 
 
 @settings(max_examples=60, deadline=None)
 @given(potentials())
 def test_batched_potential_matches_pointwise(case):
-    u, pts, verts = case
+    u, pts, verts, rs = case
     r = ref.PointwisePotential(u.polytope, u.perturbation, u.canonical)
     try:
         hessians = [r.hessian(tuple(p)) for p in pts]
@@ -116,21 +132,35 @@ def test_batched_potential_matches_pointwise(case):
     # l^-k, and every derivative tensor, may differ by ~1e-15/l relative.
     l_min = np.array([min(r._ls(p)) for p in pts])
     rel = max(1e-12, 1e-13 / l_min.min())
+    gradients = np.array([r.gradient(tuple(p)) for p in pts])
+    d_hessians = [r.d_hessian(tuple(p)) for p in pts]
+    d2_hessians = [r.d2_hessian(tuple(p)) for p in pts]
+    # the gradient's terms may cancel; its scale is then the terms' size
+    g_scales = np.maximum(np.abs(gradients).max(axis=-1), _term_scale(u, pts))
     _close(u.hessian(pts), hessians, rel)
     _close(u.value(pts), [r.value(tuple(p)) for p in pts], rel)
-    _close(u.d_hessian(pts), [r.d_hessian(tuple(p)) for p in pts], rel)
-    _close(u.d2_hessian(pts), [r.d2_hessian(tuple(p)) for p in pts], rel)
+    _close(u.gradient(pts), gradients, rel, g_scales.max())
+    _close(u.d_hessian(pts), d_hessians, rel)
+    _close(u.d2_hessian(pts), d2_hessians, rel)
     # one point in, one value out, through the same code
-    _close(u.hessian(pts[0]), hessians[0], rel)
+    for i, p in enumerate(pts):
+        _close(u.hessian(p), hessians[i], rel)
+        _close(u.gradient(p), gradients[i], rel, g_scales[i])
+        _close(u.d_hessian(p), d_hessians[i], rel)
+        _close(u.d2_hessian(p), d2_hessians[i], rel)
     # the vertices lie on the boundary: l log l -> 0 there
     _close(u.value(verts, allow_boundary=True), [r.value(tuple(v), True) for v in verts])
     with pytest.raises(DomainError):
         u.value(np.vstack([pts, verts]))
-    # S cancels terms of size 1/l^2 at distance l from the boundary, so both
-    # routes lose digits there; compare each point with that allowance.
-    rs = RS[u.polytope.dim]
+    # S cancels terms of size 1/l^2 at distance l from the boundary, and of
+    # size 1/l^3 near an edge in dimension 3, so both routes lose digits
+    # there; compare each point with that allowance, for the whole array and
+    # one point at a time.
     for s, p, lm in zip(scalar_curvature(rs, u, pts), pts, l_min):
-        _close(s, ref.scalar_curvature(rs, r, tuple(p)), max(1e-12, 1e-11 / lm**2))
+        expected = ref.scalar_curvature(rs, r, tuple(p))
+        allowance = max(1e-12, 1e-11 / lm**2 if rs.rank < 3 else 1e-13 / lm**3)
+        _close(s, expected, allowance)
+        _close(scalar_curvature(rs, u, p), expected, allowance)
 
 
 @st.composite

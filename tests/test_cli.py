@@ -361,8 +361,6 @@ def _exit_code(argv) -> int:
                      id="kset-float"),
         pytest.param(SU2_SPEC, ["pick", "--kset", "4,,8"], "argument --kset: expected comma-separated",
                      id="kset-empty-entry"),
-        pytest.param(SU2_SPEC, ["pick", "--kset", "4,4"],
-                     "argument --kset: need at least two distinct dilations", id="kset-one-dilation"),
         pytest.param(
             HUGE_SPEC, ["futaki", "--oracle"], "~1.5e+401 bounding-box lattice points", id="huge-oracle"
         ),
@@ -465,6 +463,22 @@ def test_pick_command(su2_spec, tmp_path):
     assert main(["pick", "--spec", su2_spec, "--kset", "4,8,16,32", "--no-meta", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "kset, ks",
+    [
+        pytest.param("9", [1, 2, 3, 4, 5, 6, 9], id="kset-one-dilation"),
+        pytest.param("4,4", [1, 2, 3, 4, 5, 6], id="kset-repeated-dilation"),
+    ],
+)
+def test_pick_kset_held_out(kset, ks, su2_spec, tmp_path):
+    """One extra dilation is a valid --kset: it joins the walked samples k = 1..n+d+3."""
+    out = tmp_path / "pick.json"
+    assert main(["pick", "--spec", su2_spec, "--kset", kset, "--no-meta", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["passed"] is True
+    assert report["fit"]["k"] == ks
 
 
 def test_mabuchi_command(su2_spec, tmp_path):

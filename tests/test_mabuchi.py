@@ -1,6 +1,7 @@
 """Potentials, scalar curvature, the energy functional and its variation."""
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +87,33 @@ def test_potential_boundary_values_vanish(interval_12):
         u.value((1.0,))
     with pytest.raises(DomainError):
         u.value((2.5,), allow_boundary=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_outside(rs_a2, square_11_22, bad):
+    """A NaN or infinite coordinate fails l_F > 0 like any outside point, and
+    the DomainError names it before any float warning."""
+    u = SymplecticPotential(square_11_22, perturbation=Poly(2, {(2, 0): Fraction(1, 20)}))
+    calls = (
+        u.value,
+        u.gradient,
+        u.hessian,
+        u.d_hessian,
+        u.d2_hessian,
+        lambda x: scalar_curvature(rs_a2, u, x),
+        lambda x: el_residual(rs_a2, u, lambda y: 0.0, x),
+    )
+    shown = "nan" if math.isnan(bad) else repr(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for fn in calls:
+            with pytest.raises(DomainError, match=r"point \(%s, 1\.5\) is outside the open" % shown):
+                fn((bad, 1.5))
+            # the first offending row of an array is the one named
+            with pytest.raises(DomainError, match=r"point \(1\.5, %s\)" % shown):
+                fn(np.array([[1.5, 1.5], [1.5, bad], [bad, 1.5]]))
+        with pytest.raises(DomainError, match="outside the closed polytope"):
+            u.value((bad, 1.5), allow_boundary=True)
 
 
 def test_potential_perturbation_and_gradient(interval_12):
