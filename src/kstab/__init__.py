@@ -13,12 +13,8 @@ from .polytope import (
     PiecewiseAffine,
     RationalPolytope,
     facet_chart,
-    facet_lattice_count,
-    facet_measure,
     is_in_positive_chamber,
     lattice_points,
-    lift_polytope,
-    transform,
     triangulate,
 )
 from .quadrature import (
@@ -40,9 +36,6 @@ from .rootsystem import (
     build_from_cartan,
     dh_weight,
     dimension,
-    f_g_fraction,
-    homogeneous_parts,
-    weyl_polynomial,
 )
 from .futaki import (
     AmplenessError,
@@ -55,21 +48,16 @@ from .futaki import (
     volume_w,
     weighted_count_dk,
     weighted_weight_wk,
-    wk_via_lift,
 )
 from .pick import AsymptoticFit, pick_check, pick_fit, pick_sum
 from .mabuchi import (
-    CompactBump,
     MabuchiResult,
     PotentialError,
-    ScaledBump,
     SymplecticPotential,
-    VariationReport,
     el_residual,
     mabuchi_eval,
     make_a_preset,
     scalar_curvature,
-    variation_check,
 )
 from .specio import JobSpec, SpecError, load_jobspec, parse_jobspec
 

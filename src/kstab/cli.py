@@ -36,7 +36,7 @@ from .rootsystem import (
     dh_weight,
     dimension,
 )
-from .specio import SCHEMA, SpecError, load_jobspec, load_potential, parse_polynomial
+from .specio import SCHEMA, SpecError, load_jobspec, load_potential, parse_polynomial, parse_rational
 
 CONVENTIONS = {
     "schema": SCHEMA,
@@ -71,15 +71,31 @@ def _write_report(report: dict, out_path: str | None, no_meta: bool) -> None:
 MAX_GRID_POINTS = 100_000
 
 
-def _grid_size(text: str) -> int:
-    value = int(text)
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
+def _grid_size(text: str) -> int:
+    value = _positive_int(text)
     if value > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             "%d grid points exceed the limit of %d" % (value, MAX_GRID_POINTS)
         )
     return value
+
+
+def _rational(text: str) -> Fraction:
+    """An integer or 'p/q', by the spec's rules for rationals."""
+    try:
+        return parse_rational(text, "")
+    except SpecError:
+        raise argparse.ArgumentTypeError("cannot parse rational %r" % text) from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -99,7 +115,7 @@ def _dilations(text: str) -> tuple[int, ...]:
 def _quad_spec(args) -> GradedQuadratureSpec:
     return GradedQuadratureSpec(
         depth=args.quad_depth,
-        ratio=Fraction(args.quad_ratio),
+        ratio=args.quad_ratio,
         nodes=args.quad_nodes,
         tol=args.tol,
     )
@@ -109,7 +125,7 @@ def _cmd_futaki(args) -> int:
     spec = load_jobspec(args.spec)
     if spec.pl_function is None:
         raise SpecError("spec.pl_function: required by the futaki command")
-    R = Fraction(args.R) if args.R is not None else (spec.R if spec.R is not None else None)
+    R = args.R if args.R is not None else spec.R
     report: dict = {"command": "futaki"}
     if args.oracle:
         if R is None:
@@ -247,15 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-meta", action="store_true", help="omit the timestamp")
         if quad:
             p.add_argument("--quad-depth", type=int, default=12)
-            p.add_argument("--quad-ratio", default="1/2")
+            p.add_argument("--quad-ratio", type=_rational, default="1/2")
             p.add_argument("--quad-nodes", type=int, default=10)
             p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser("futaki", help="closed-form Futaki invariant, optional lattice oracle")
     p.add_argument("--spec", required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check with lattice counts")
-    p.add_argument("--kmax", type=int, default=None, help="largest sampled oracle dilate")
-    p.add_argument("--R", default=None, help="headroom constant (overrides the spec)")
+    p.add_argument("--kmax", type=_positive_int, default=None, help="largest sampled oracle dilate")
+    p.add_argument("--R", type=_rational, default=None, help="headroom constant (overrides the spec)")
     add_common(p)
     p.set_defaults(func=_cmd_futaki)
 

@@ -37,7 +37,6 @@ from .polytope import (
     check_walk,
     dilated_lattice_points,
     is_in_positive_chamber,
-    lift_polytope,
     pl_cells,
 )
 from .quadrature import (
@@ -132,15 +131,16 @@ def weighted_count_dk(rs: RootSystem, P: RationalPolytope, k: int) -> Fraction:
     return Fraction(total, rs.denom)
 
 
-def admissible_modulus(f: PiecewiseAffine, P: RationalPolytope, R) -> int:
-    """Smallest progression step m such that w_k is a polynomial on k in m Z.
+def admissible_modulus(f: PiecewiseAffine, P: RationalPolytope) -> int:
+    """Smallest progression step m such that d_k and w_k are polynomials on k in m Z.
 
-    Clears the denominators of the PL coefficients, of R, and of the vertices
-    of the subdivision of P into single-piece cells: those vertices are where
-    the lattice sums change shape, and each scaled cell must be an integer
-    polytope for the sampled weight sum to interpolate exactly.
+    Clears the denominators of the PL coefficients and of the vertices of the
+    subdivision of P into single-piece cells: those vertices are where the
+    lattice sums change shape, and each scaled cell must be an integer
+    polytope for the sampled sums to interpolate exactly. R does not enter:
+    w_k(R) = w_k(0) + R k d_k, and both terms are polynomials along m Z.
     """
-    dens = [f.denominator_lcm, as_fraction(R).denominator]
+    dens = [f.denominator_lcm]
     for _, cell in pl_cells(P, f):
         for v in cell.vertices:
             dens.extend(x.denominator for x in v)
@@ -156,7 +156,7 @@ def weighted_weight_wk(
     max_i (<L a_i, lambda> + k L b_i) is an integer, so the walk sums
     sum q and sum q L k f as Python ints and builds one Fraction at the end.
     The sum is exact for every k >= 1; it is a polynomial in k only along
-    multiples of ``admissible_modulus(f, P, R)``, which ``ehrhart_fit`` samples.
+    multiples of ``admissible_modulus(f, P)``, which ``ehrhart_fit`` samples.
     """
     _require_match(rs, P)
     R = as_fraction(R)
@@ -168,32 +168,6 @@ def weighted_weight_wk(
         sum_q += q
         sum_qf += q * max(sum(map(mul, a, lam)) + kb for a, kb in pieces)
     return (k * R * sum_q - Fraction(sum_qf, L)) / rs.denom
-
-
-def wk_via_lift(rs: RootSystem, P: RationalPolytope, f: PiecewiseAffine, R, k: int) -> Fraction:
-    """w_k recomputed as a lattice count over the lifted polytope.
-
-    Counts weighted points of the k-dilate of the region between the graph of
-    R - f and the base, then removes the base layer. Equality with the direct
-    sum needs every weight k(R - f(lambda/k)) to be an integer, so the PL
-    gradients must be integer vectors here (scale f if they are not).
-    """
-    _require_match(rs, P)
-    R = as_fraction(R)
-    for a, _ in f.pieces:
-        if any(x.denominator != 1 for x in a):
-            raise ValueError(
-                "lift-based weights need integer PL gradients; scale f first"
-            )
-    m = admissible_modulus(f, P, R)
-    if k % m:
-        raise ValueError("k=%d is not a multiple of the admissible modulus %d" % (k, m))
-    Q = lift_polytope(P, f, R)
-    n = P.dim
-    total = 0
-    for mu in dilated_lattice_points(Q, k):
-        total += weyl_eval(rs, mu[:n])
-    return Fraction(total, rs.denom) - weighted_count_dk(rs, P, k)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +270,7 @@ def ehrhart_fit(
     _require_positive_chamber(P)
     R = as_fraction(R)
     N, n = rs.num_positive_roots, rs.rank
-    m = admissible_modulus(f, P, R)
+    m = admissible_modulus(f, P)
     count = N + n + 3 if kmax is None else max(N + n + 3, kmax // m)
     ks = range(m, m * count + 1, m)
     check_walk(P, ks, "the oracle (admissible modulus %d)" % m)

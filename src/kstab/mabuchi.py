@@ -18,11 +18,11 @@ _divergence_pg. The Mabuchi energy
 
     F_A(u) = -int_P log det(u_jk) W dmu + 2 int_bd u W dsigma - int_P A u W dmu
 
-is evaluated with the boundary-graded quadrature, and the variational
-identity dF_A = int (-W^{-1}(W u^{jk})_{jk} - A) du W dmu (for compactly
-supported du) gets a finite-difference cross-check.
+is evaluated with the boundary-graded quadrature. el_residual is the
+integrand of its first variation, dF_A = int (-W^{-1}(W u^{jk})_{jk} - A) du
+W dmu for compactly supported du.
 
-Potentials, bumps, scalar_curvature and el_residual take one point or an
+Potentials, scalar_curvature and el_residual take one point or an
 (m, n) array of points, through one code path that broadcasts over the
 leading axes. A potential builds its derivative tables once: for each order
 k <= 4, the perturbation's partial derivatives are one float exponent
@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -204,22 +204,6 @@ class SymplecticPotential:
         """Fourth derivatives: [..., c, d, i, j] is d/dx_c d/dx_d of the Hessian entry (i, j)."""
         x, ls = self._l_values(x)
         return self._derivative(x, 4, np.power(ls, -3, out=ls))
-
-
-class _PerturbedPotential:
-    """u + eps * bump, exposing just what the energy evaluation needs."""
-
-    def __init__(self, base, bump, eps: float):
-        self.polytope = base.polytope
-        self._base = base
-        self._bump = bump
-        self._eps = eps
-
-    def value(self, x, allow_boundary: bool = False):
-        return self._base.value(x, allow_boundary) + self._eps * self._bump.value(x)
-
-    def hessian(self, x) -> np.ndarray:
-        return self._base.hessian(x) + self._eps * np.asarray(self._bump.hessian(x))
 
 
 def interior_grid(P: RationalPolytope, count: int) -> list[tuple[float, ...]]:
@@ -425,140 +409,4 @@ def mabuchi_eval(
             "boundary": 2.0 * boundary,
             "linear": -linear,
         },
-    )
-
-
-# ---------------------------------------------------------------------------
-# compactly supported bumps and the variational identity
-# ---------------------------------------------------------------------------
-
-class CompactBump:
-    """Product quartic bump on an axis box, C^1 and compactly supported.
-
-    Each axis factor is (t - lo)^2 (hi - t)^2 inside [lo, hi], zero outside.
-    Takes one point or an (m, n) array, like SymplecticPotential.
-    """
-
-    def __init__(self, box: Sequence[tuple], polytope: RationalPolytope | None = None):
-        self.box = [(float(lo), float(hi)) for lo, hi in box]
-        if any(lo >= hi for lo, hi in self.box):
-            raise ValueError("bump box must have positive extent")
-        if polytope is not None:
-            facets = [
-                ([float(a) for a in v], float(c)) for v, c in polytope.facets
-            ]
-            for corner in product(*self.box):
-                vals = [
-                    sum(a * t for a, t in zip(v, corner)) - c for v, c in facets
-                ]
-                if any(val <= 0 for val in vals):
-                    raise ValueError(
-                        "bump support must sit strictly inside the polytope"
-                    )
-        self._lo = np.array([lo for lo, _ in self.box])
-        self._hi = np.array([hi for _, hi in self.box])
-
-    def _factors(self, x):
-        """Axis factors and their first two derivatives, each (..., n)."""
-        x = np.asarray(x, dtype=float)
-        inside = (x > self._lo) & (x < self._hi)
-        a, b = x - self._lo, self._hi - x
-        return (
-            np.where(inside, a * a * b * b, 0.0),
-            np.where(inside, 2 * a * b * b - 2 * a * a * b, 0.0),
-            np.where(inside, 2 * b * b - 8 * a * b + 2 * a * a, 0.0),
-        )
-
-    def _others(self, vals, *skip):
-        """Product of the axis factors outside ``skip``."""
-        keep = [k for k in range(len(self.box)) if k not in skip]
-        return vals[..., keep].prod(axis=-1)
-
-    def value(self, x):
-        vals, _, _ = self._factors(x)
-        return vals.prod(axis=-1)
-
-    def gradient(self, x) -> np.ndarray:
-        vals, d1, _ = self._factors(x)
-        return np.stack(
-            [d1[..., i] * self._others(vals, i) for i in range(len(self.box))], axis=-1
-        )
-
-    def hessian(self, x) -> np.ndarray:
-        vals, d1, d2 = self._factors(x)
-        n = len(self.box)
-        H = np.empty(vals.shape[:-1] + (n, n))
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    H[..., i, i] = d2[..., i] * self._others(vals, i)
-                else:
-                    H[..., i, j] = d1[..., i] * d1[..., j] * self._others(vals, i, j)
-        return H
-
-
-class ScaledBump:
-    """c * bump, sharing the support."""
-
-    def __init__(self, bump, c: float):
-        self._bump = bump
-        self._c = float(c)
-
-    def value(self, x):
-        return self._c * self._bump.value(x)
-
-    def hessian(self, x) -> np.ndarray:
-        return self._c * np.asarray(self._bump.hessian(x))
-
-
-@dataclass(frozen=True)
-class VariationReport:
-    measured: float
-    predicted: float
-    relative_discrepancy: float
-    advisory: str | None
-
-
-def variation_check(
-    rs: RootSystem,
-    u: SymplecticPotential,
-    A,
-    du,
-    eps: float = 1e-4,
-    spec: GradedQuadratureSpec | None = None,
-) -> VariationReport:
-    """Compare the finite-difference derivative of F_A against the gradient.
-
-    du must be supported strictly inside the polytope so all boundary terms
-    of the integration by parts vanish.
-    """
-    P = u.polytope
-    if spec is None:
-        spec = GradedQuadratureSpec()
-    A_fn = _resolve_a(rs, P, A) or (lambda x: 0.0)
-    plus = mabuchi_eval(rs, _PerturbedPotential(u, du, +eps), A_fn, spec)
-    minus = mabuchi_eval(rs, _PerturbedPotential(u, du, -eps), A_fn, spec)
-    measured = (plus.value - minus.value) / (2.0 * eps)
-
-    p = _weight_data(rs)[0]
-
-    def integrand(x):
-        b = du.value(x)
-        out = np.zeros(len(x))
-        inside = b != 0.0
-        if inside.any():
-            x = x[inside]
-            out[inside] = el_residual(rs, u, A_fn, x) * b[inside] * p.evaluate_float(x)
-        return out
-
-    predicted, _ = graded_integral_array(integrand, P, spec)
-    scale = max(abs(predicted), 1e-300)
-    advisory = None
-    if abs(plus.value - minus.value) < 1e-9 * max(1.0, abs(plus.value)):
-        advisory = "finite difference nearly cancels; consider a larger eps"
-    return VariationReport(
-        measured=measured,
-        predicted=predicted,
-        relative_discrepancy=abs(measured - predicted) / scale,
-        advisory=advisory,
     )

@@ -250,14 +250,6 @@ class MultivariatePolynomial:
             terms[tuple(new)] = coef * exp[i]
         return MultivariatePolynomial(self.nvars, terms)
 
-    def gradient(self) -> list["MultivariatePolynomial"]:
-        return [self.partial(i) for i in range(self.nvars)]
-
-    def homogeneous_part(self, d: int) -> "MultivariatePolynomial":
-        return MultivariatePolynomial(
-            self.nvars, {e: c for e, c in self._terms.items() if sum(e) == d}
-        )
-
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact evaluation at a rational point."""
         pt = [as_fraction(x) for x in point]

@@ -396,13 +396,6 @@ def facet_chart(P: RationalPolytope, facet_index: int) -> FacetChart:
     )
 
 
-def facet_measure(P: RationalPolytope, facet_index: int) -> Fraction:
-    """Total canonical boundary measure of a facet (exact)."""
-    if P.dim == 1:
-        return Fraction(1)
-    return facet_chart(P, facet_index).image.volume()
-
-
 # ---------------------------------------------------------------------------
 # lattice point enumeration
 # ---------------------------------------------------------------------------
@@ -502,60 +495,6 @@ def lattice_points(P: RationalPolytope, k: int) -> list[Point]:
     return [tuple(Fraction(c, k) for c in pt) for pt in dilated_lattice_points(P, k)]
 
 
-def facet_lattice_count(P: RationalPolytope, facet_index: int, k: int) -> int:
-    """Number of points of the closed facet meeting (1/k) Z^n.
-
-    Enumerates integer solutions of <v_F, x> = k c_F directly over the
-    facet's bounding box, pivoting on one coordinate of the normal.
-    """
-    if not P.is_integer:
-        raise GeometryError("facet lattice counts need an integer polytope")
-    if k < 1:
-        raise ValueError("dilation factor must be >= 1")
-    n = P.dim
-    v, c = P.facets[facet_index]
-    fverts = P.facet_vertices(facet_index)
-    if n == 1:
-        return 1  # a facet is a single integer point
-    fbox = [
-        (
-            math.ceil(min(p[i] for p in fverts) * k),
-            math.floor(max(p[i] for p in fverts) * k),
-        )
-        for i in range(n)
-    ]
-    # Solve for the coordinate whose range is widest; the walk covers the rest.
-    pivot = max(
-        (i for i in range(n) if v[i] != 0),
-        key=lambda i: fbox[i][1] - fbox[i][0],
-    )
-    rest = [i for i in range(n) if i != pivot]
-    box = [fbox[i] for i in rest]
-    target = int(c) * k
-    others = [(w, int(d) * k) for w, d in P.facets]
-    count = 0
-
-    def rec(idx: int, partial: list[int]) -> None:
-        nonlocal count
-        if idx == len(rest):
-            s = target - sum(v[i] * t for i, t in zip(rest, partial))
-            if s % v[pivot]:
-                return
-            z = s // v[pivot]
-            pt = [0] * n
-            for i, t in zip(rest, partial):
-                pt[i] = t
-            pt[pivot] = z
-            if all(sum(a * b for a, b in zip(w, pt)) >= d for w, d in others):
-                count += 1
-            return
-        for t in range(box[idx][0], box[idx][1] + 1):
-            rec(idx + 1, partial + [t])
-
-    rec(0, [])
-    return count
-
-
 # ---------------------------------------------------------------------------
 # piecewise affine functions (max-of-affine, hence convex)
 # ---------------------------------------------------------------------------
@@ -653,32 +592,8 @@ def pl_cells(P: RationalPolytope, f: PiecewiseAffine) -> list[tuple[int, Rationa
 
 
 # ---------------------------------------------------------------------------
-# lifting, triangulation, transforms
+# triangulation
 # ---------------------------------------------------------------------------
-
-def lift_polytope(P: RationalPolytope, f: PiecewiseAffine, R) -> RationalPolytope:
-    """Closure of the region above P between t = 0 and t = R - f(x).
-
-    Requires f <= R - 1 on the polytope (checked at the vertices, where the
-    maximum of a convex function is attained).
-    """
-    R = as_fraction(R)
-    if f.nvars != P.dim:
-        raise ValueError("dimension mismatch between polytope and PL function")
-    for vtx in P.vertices:
-        if f.value(vtx) > R - 1:
-            raise GeometryError(
-                "headroom violated: f(%s) = %s > R - 1 = %s"
-                % (vtx, f.value(vtx), R - 1)
-            )
-    halfspaces: list = [
-        (tuple(v) + (0,), c) for v, c in P.facets
-    ]
-    halfspaces.append(((0,) * P.dim + (1,), Fraction(0)))  # t >= 0
-    for a, b in f.pieces:
-        halfspaces.append((tuple(-x for x in a) + (-1,), b - R))
-    return RationalPolytope.from_halfspaces(halfspaces)
-
 
 def triangulate(P: RationalPolytope) -> list[list[Point]]:
     """Exact pulling triangulation (De Loera-Rambau-Santos 2010, 4.3).
@@ -706,19 +621,6 @@ def triangulate(P: RationalPolytope) -> list[list[Point]]:
         return out
 
     return [[verts[j] for j in t] for t in cone(frozenset(range(len(verts))), n)]
-
-
-def transform(P: RationalPolytope, g: Sequence[Sequence[int]]) -> RationalPolytope:
-    """Image of P under a unimodular integer matrix."""
-    rows = [[int(x) for x in row] for row in g]
-    if abs(_det(rows)) != 1:
-        raise GeometryError("transform matrix is not unimodular")
-    return RationalPolytope.from_vertices(
-        [
-            tuple(sum(Fraction(a) * b for a, b in zip(row, p)) for row in rows)
-            for p in P.vertices
-        ]
-    )
 
 
 def is_in_positive_chamber(P: RationalPolytope) -> bool:

@@ -180,6 +180,8 @@ class GradedQuadratureSpec:
             raise ValueError("grading ratio must lie in (0, 1)")
         if self.nodes < 2:
             raise ValueError("need at least two nodes per cell")
+        if not self.tol >= 0:  # NaN fails too
+            raise ValueError("tol must be >= 0, got %r" % self.tol)
 
     def refined(self) -> "GradedQuadratureSpec":
         return replace(self, depth=self.depth + 2, nodes=self.nodes + 1)

@@ -244,25 +244,6 @@ def build_classical(series: str, rank: int) -> RootSystem:
 # derived polynomials
 # ---------------------------------------------------------------------------
 
-def weyl_polynomial(rs: RootSystem) -> MultivariatePolynomial:
-    """q(l) = prod_a (|M^a| + l . M^a), degree N with positive coefficients."""
-    q = Poly.constant(rs.rank, 1)
-    for m in rs.positive_roots:
-        q = q * Poly.affine([Fraction(x) for x in m], sum(m))
-    return q
-
-
-def homogeneous_parts(
-    q: MultivariatePolynomial, N: int
-) -> tuple[MultivariatePolynomial, MultivariatePolynomial, MultivariatePolynomial]:
-    """Split q into (q_N, q_{N-1}, remainder of degree <= N-2)."""
-    if q.degree() != N:
-        raise ValueError("polynomial degree %d does not match N=%d" % (q.degree(), N))
-    qN = q.homogeneous_part(N)
-    qN1 = q.homogeneous_part(N - 1) if N >= 1 else Poly.zero(q.nvars)
-    return qN, qN1, q - qN - qN1
-
-
 @lru_cache(maxsize=None)
 def dh_weight(rs: RootSystem) -> MultivariatePolynomial:
     """Duistermaat-Heckman density p(x) = prod_a (M^a . x), expanded."""
@@ -280,11 +261,6 @@ def dh_weight_gradient_sum(rs: RootSystem) -> MultivariatePolynomial:
     for j in range(rs.rank):
         out = out + p.partial(j)
     return out
-
-
-def f_g_fraction(rs: RootSystem) -> tuple[MultivariatePolynomial, MultivariatePolynomial]:
-    """The fibration correction f_G = 2 sum_j d_j log p as (numerator, p)."""
-    return 2 * dh_weight_gradient_sum(rs), dh_weight(rs)
 
 
 def dimension(rs: RootSystem, lam: Sequence[int]) -> Fraction:

@@ -51,13 +51,13 @@ def ehrhart_fit(
     the first N + n + 3 of them. Held-out samples are predicted exactly or
     the fit is rejected. Walks over more than MAX_WALK_POINTS bounding-box
     lattice points are refused up front. Pass ``modulus`` if
-    ``admissible_modulus(f, P, R)`` is known already.
+    ``admissible_modulus(f, P)`` is known already.
     """
     _require_match(rs, P)
     _require_positive_chamber(P)
     R = as_fraction(R)
     N, n = rs.num_positive_roots, rs.rank
-    m = admissible_modulus(f, P, R) if modulus is None else modulus
+    m = admissible_modulus(f, P) if modulus is None else modulus
     if samples is None:
         samples = [m * t for t in range(1, N + n + 4)]
     ks = sorted(int(k) for k in samples)

@@ -1,33 +1,49 @@
 """The decay-based lattice-sum check, kept as the reference for ``kstab.pick``.
 
-``kstab.pick`` fits E(k) = k^d S_k exactly for polynomial h of degree d and
-keeps this module's least-squares fit and decay check for callbacks only.
-This module keeps the check as it was for both kinds of h: polynomial h
-pins c_top and c_next to the exact integrals, samples k in DEFAULT_KS and
-passes when the residual scaled by k^(n-2) stays within the ratio bounds
-across each doubling pair. The only edit is the imports.
+``kstab.pick`` fits E(k) = k^d S_k exactly, for polynomial h only. This
+module keeps the older check for both kinds of h. Polynomial h pins c_top
+and c_next to the exact integrals. A callback h gets a least-squares fit of
+the two coefficients over the largest sampled k. Either way the samples
+default to DEFAULT_KS, and the check passes when the residual scaled by
+k^(n-2) stays within the ratio bounds across each doubling pair (a bounded
+residual in dimension one); an inconclusive decay pattern is a failure,
+never a silent pass.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import log2
 from typing import Sequence
 
-from kstab.pick import (
-    DEFAULT_KS,
-    RATIO_BOUND_DIM_ONE,
-    RATIO_BOUND_HIGH_DIM,
-    AsymptoticFit,
-    pick_sum,
-)
+from kstab.pick import pick_sum as exact_pick_sum
 from kstab.polynomial import MultivariatePolynomial
-from kstab.polytope import RationalPolytope, check_walk
-from kstab.quadrature import boundary_integral, integral_polytope
+from kstab.polytope import RationalPolytope, check_walk, lattice_points
+from kstab.quadrature import boundary_integral, integral_polytope, pairwise_sum
+
+DEFAULT_KS = (4, 8, 16, 32, 64)
+
+# Slack on the measured decay: the normalized residual may grow at most this
+# much across one doubling before the check fails.
+RATIO_BOUND_HIGH_DIM = 4.5
+RATIO_BOUND_DIM_ONE = 1.25
+
+
+def pick_sum(P: RationalPolytope, h, k: int):
+    """Exact Fraction for polynomial h, pairwise float sum for callbacks."""
+    if isinstance(h, MultivariatePolynomial):
+        return exact_pick_sum(P, h, k)
+    return pairwise_sum([float(h(tuple(float(x) for x in p))) for p in lattice_points(P, k)])
+
+
+# c_top and c_next are Fractions for polynomial h and floats for a callback;
+# diagnostics holds (k, log2 |r_k / r_2k|) for each doubling pair.
+DecayFit = namedtuple("DecayFit", "ks sums c_top c_next residuals diagnostics exact informational")
 
 
 def pick_fit(
     P: RationalPolytope, h, ks: Sequence[int] = DEFAULT_KS, informational: bool = False
-) -> AsymptoticFit:
+) -> DecayFit:
     """Fit S_k ~ c_top k^n + c_next k^(n-1) and record residuals.
 
     Polynomial h: the coefficients are fixed to the exact integrals. Callback
@@ -74,7 +90,7 @@ def pick_fit(
             diagnostics.append((k, None))
         else:
             diagnostics.append((k, log2(float(r1) / float(r2))))
-    return AsymptoticFit(
+    return DecayFit(
         ks=ks,
         sums=tuple(sums),
         c_top=c_top,
@@ -91,7 +107,7 @@ def pick_check(
     h,
     ks: Sequence[int] = DEFAULT_KS,
     convex: bool = True,
-) -> tuple[bool, AsymptoticFit]:
+) -> tuple[bool, DecayFit]:
     """Assert the two-term asymptotic with an O(k^(n-2)) remainder.
 
     The residual scaled by k^(n-2) must stay stable across each doubling pair

@@ -10,12 +10,7 @@ import time
 from fractions import Fraction
 
 from kstab.polynomial import MultivariatePolynomial as Poly
-from kstab.polytope import (
-    PiecewiseAffine,
-    facet_lattice_count,
-    facet_measure,
-    transform,
-)
+from kstab.polytope import PiecewiseAffine
 from kstab.quadrature import (
     GradedQuadratureSpec,
     boundary_integral,
@@ -37,19 +32,20 @@ from kstab.futaki import (
     futaki_closed_form,
     volume_w,
     weighted_weight_wk,
-    wk_via_lift,
 )
 from kstab.pick import pick_check, pick_fit, pick_sum
-from kstab.mabuchi import (
-    CompactBump,
-    ScaledBump,
-    SymplecticPotential,
-    mabuchi_eval,
-    scalar_curvature,
-    variation_check,
-)
+from kstab.mabuchi import SymplecticPotential, mabuchi_eval, scalar_curvature
 from chart_reference import compose_affine
 from conftest import slanted_facet_index
+from lemmas import (
+    CompactBump,
+    ScaledBump,
+    facet_lattice_count,
+    facet_measure,
+    transform,
+    variation_check,
+    wk_via_lift,
+)
 
 QUAD = GradedQuadratureSpec(depth=12, ratio=Fraction(1, 2), nodes=10, tol=1e-6)
 

@@ -361,6 +361,16 @@ def _exit_code(argv) -> int:
                      id="kset-float"),
         pytest.param(SU2_SPEC, ["pick", "--kset", "4,,8"], "argument --kset: expected comma-separated",
                      id="kset-empty-entry"),
+        pytest.param(SU3_SPEC, ["futaki", "--R", "1/0"], "--R: cannot parse rational '1/0'", id="R-div0"),
+        pytest.param(SU3_SPEC, ["futaki", "--oracle", "--R", "1/0"], "--R: cannot", id="oracle-R-div0"),
+        pytest.param(SU3_SPEC, ["futaki", "--R", "abc"], "--R: cannot parse rational 'abc'", id="R-abc"),
+        pytest.param(SU2_SPEC, ["mabuchi", "--quad-ratio", "1/0"], "--quad-ratio: cannot", id="ratio-div0"),
+        pytest.param(SU2_SPEC, ["scalar", "--quad-ratio", "1/0"], "--quad-ratio: cannot", id="scalar-div0"),
+        pytest.param(SU2_SPEC, ["mabuchi", "--tol", "nan"], "tol must be >= 0, got nan", id="tol-nan"),
+        pytest.param(SU2_SPEC, ["scalar", "--tol", "nan"], "tol must be >= 0, got nan", id="scalar-tol-nan"),
+        pytest.param(SU2_SPEC, ["mabuchi", "--tol=-1e-6"], "tol must be >= 0, got -1e-06", id="tol-negative"),
+        pytest.param(SU3_SPEC, ["futaki", "--oracle", "--kmax", "0"], "--kmax: must be >= 1", id="kmax-0"),
+        pytest.param(SU3_SPEC, ["futaki", "--oracle", "--kmax", "-5"], "--kmax: must be >= 1", id="kmax-neg"),
         pytest.param(
             HUGE_SPEC, ["futaki", "--oracle"], "~1.5e+401 bounding-box lattice points", id="huge-oracle"
         ),
@@ -438,24 +448,32 @@ def test_missing_pl_function_exits_2(tmp_path):
     assert main(["futaki", "--spec", str(path)]) == 2
 
 
-@pytest.mark.parametrize("name", ["su2_interval", "su3_square"])
+# Every shipped spec, so that a new spec without golden reports fails.
+SHIPPED = sorted(path.stem for path in (REPO / "specs").glob("*.json"))
+
+
+def _golden(name: str) -> Path:
+    golden = REPO / "tests" / "golden" / name
+    assert golden.is_file(), "no golden report tests/golden/%s" % name
+    return golden
+
+
+@pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_reports_match_golden(name, tmp_path):
     """The shipped specs' oracle reports, rationals and booleans, byte for byte."""
     out = tmp_path / "report.json"
     spec = str(REPO / "specs" / ("%s.json" % name))
     assert main(["futaki", "--spec", spec, "--oracle", "--no-meta", "--out", str(out)]) == 0
-    golden = REPO / "tests" / "golden" / ("futaki_oracle_%s.json" % name)
-    assert out.read_bytes() == golden.read_bytes()
+    assert out.read_bytes() == _golden("futaki_oracle_%s.json" % name).read_bytes()
 
 
-@pytest.mark.parametrize("name", ["su2_interval", "su3_square"])
+@pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_pick_reports_match_golden(name, tmp_path):
     """The shipped specs' exact pick reports, byte for byte."""
     out = tmp_path / "report.json"
     spec = str(REPO / "specs" / ("%s.json" % name))
     assert main(["pick", "--spec", spec, "--no-meta", "--out", str(out)]) == 0
-    golden = REPO / "tests" / "golden" / ("pick_%s.json" % name)
-    assert out.read_bytes() == golden.read_bytes()
+    assert out.read_bytes() == _golden("pick_%s.json" % name).read_bytes()
 
 
 def test_pick_command(su2_spec, tmp_path):

@@ -2,12 +2,13 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from kstab.polytope import GeometryError, PiecewiseAffine, RationalPolytope, transform
+from kstab.polytope import GeometryError, PiecewiseAffine, RationalPolytope
 from kstab.quadrature import boundary_integral, integral_polytope, integral_pl_poly, boundary_integral_pl_poly
 from kstab.rootsystem import QN1_PFG_RATIO, build_classical, dh_weight, dh_weight_gradient_sum
 from kstab import futaki
@@ -22,10 +23,10 @@ from kstab.futaki import (
     volume_w,
     weighted_count_dk,
     weighted_weight_wk,
-    wk_via_lift,
 )
 import fit_reference
 import walk_reference
+from lemmas import transform, wk_via_lift
 from chart_reference import add_constant, compose_affine
 
 
@@ -131,11 +132,32 @@ def test_wk_constant_f_is_kR_dk(rs_a1, interval_12):
         )
 
 
-def test_admissible_modulus(interval_12, f_identity, f_kink):
-    assert admissible_modulus(f_identity, interval_12, 3) == 1
+def test_admissible_modulus(rs_a1, interval_12, f_identity, f_kink):
+    assert admissible_modulus(f_identity, interval_12) == 1
     # the kink at 3/2 forces even sampling even though coefficients are integral
-    assert admissible_modulus(f_kink, interval_12, 2) == 2
-    assert admissible_modulus(f_identity, interval_12, Fraction(7, 3)) == 3
+    assert admissible_modulus(f_kink, interval_12) == 2
+    # R = 7/3 does not enter: w_k(R) = w_k(0) + R k d_k is a polynomial
+    # along the multiples of 1
+    assert ehrhart_fit(rs_a1, interval_12, f_identity, Fraction(7, 3)).ks == (1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize(
+    "series, hi, offset, R, m",
+    [("G2", (3, 3), 0, "7/3", 1), ("A", (2, 2), 0, "5/2", 1), ("B", (3, 2), "1/2", "10/3", 2),
+     ("A", (2, 2, 2), 0, "7/2", 1)],
+)
+def test_fractional_r_agrees_at_the_modulus_of_f_and_p(series, hi, offset, R, m):
+    """On the box [1, hi] with f = max(x_1, ..., x_{n-1}, x_n + offset), the
+    oracle samples k = m, 2m, ... with m from f and P alone, and still
+    matches the closed form exactly when R has a denominator."""
+    n = len(hi)
+    P = RationalPolytope.from_vertices(list(product(*[(1, h) for h in hi])))
+    f = PiecewiseAffine.from_pieces([((0,) * i + (1,) + (0,) * (n - 1 - i), 0) for i in range(n - 1)]
+                                    + [((0,) * (n - 1) + (1,), Fraction(offset))])
+    report = futaki_cross_check(build_classical(series, n), P, f, Fraction(R))
+    assert admissible_modulus(f, P) == m
+    assert report.oracle_details.ks[:2] == (m, 2 * m)
+    assert report.agreement is True
 
 
 def test_wk_is_exact_off_the_progression(rs_a1, interval_12, f_kink):
@@ -198,6 +220,16 @@ def test_wk_via_lift_needs_integer_gradients(rs_a1, interval_12):
         wk_via_lift(rs_a1, interval_12, f, 3, 2)
 
 
+def test_wk_via_lift_needs_integer_k_r(rs_a1, interval_12, f_identity):
+    """The modulus leaves R out, so the lift checks k R itself."""
+    R = Fraction(10, 3)
+    with pytest.raises(ValueError, match="not an integer"):
+        wk_via_lift(rs_a1, interval_12, f_identity, R, 2)
+    assert wk_via_lift(rs_a1, interval_12, f_identity, R, 3) == weighted_weight_wk(
+        rs_a1, interval_12, f_identity, R, 3
+    )
+
+
 def test_cross_check_suite(rs_a1, rs_a2, interval_12, interval_13, square_11_22,
                            f_identity, f_kink, f_max_xy):
     cases = [
@@ -229,7 +261,7 @@ def cross_check_cases(draw):
     piece = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-3, 3))
     f = PiecewiseAffine.from_pieces(draw(st.lists(piece, min_size=1, max_size=3)))
     R = draw(st.integers(0, 4))
-    assume(admissible_modulus(f, P, R) <= 2)
+    assume(admissible_modulus(f, P) <= 2)
     rs = build_classical(*draw(st.sampled_from(CROSS_CHECK_SYSTEMS[n])))
     return rs, P, f, R
 
@@ -251,7 +283,7 @@ def test_ehrhart_fit_matches_reference_on_random_lattice_polytopes(case, more):
     (``more`` is None) and with a kmax that asks for 1-2 samples beyond
     N + n + 3, on or just past a multiple of the modulus."""
     rs, P, f, R = case
-    m = admissible_modulus(f, P, R)
+    m = admissible_modulus(f, P)
     kmax = None
     if more is not None:
         extra, offset = more
@@ -272,7 +304,7 @@ def test_wk_via_lift_agrees_on_random_lattice_polytopes(case):
     on the vertices."""
     rs, P, f, R = case
     assume(all(f.value(v) <= R - 1 for v in P.vertices))
-    m = admissible_modulus(f, P, R)
+    m = admissible_modulus(f, P)
     for k in (m, 2 * m):
         assert wk_via_lift(rs, P, f, R, k) == weighted_weight_wk(rs, P, f, R, k)
 

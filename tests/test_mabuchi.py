@@ -12,18 +12,16 @@ from kstab.quadrature import GradedQuadratureSpec, graded_integral_array
 from kstab.rootsystem import dh_weight, dh_weight_gradient_sum
 from kstab.futaki import average_scalar, volume_w
 from kstab.mabuchi import (
-    CompactBump,
     DomainError,
     PotentialError,
-    ScaledBump,
     SymplecticPotential,
     el_residual,
     interior_grid,
     mabuchi_eval,
     make_a_preset,
     scalar_curvature,
-    variation_check,
 )
+from lemmas import CompactBump, ScaledBump, variation_check
 
 SPEC = GradedQuadratureSpec(depth=12, ratio=Fraction(1, 2), nodes=10, tol=1e-6)
 FAST = GradedQuadratureSpec(depth=8, ratio=Fraction(1, 2), nodes=8, tol=1e-4)

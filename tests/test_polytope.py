@@ -14,13 +14,9 @@ from kstab.polytope import (
     _row_reduce,
     dilated_lattice_points,
     facet_chart,
-    facet_lattice_count,
-    facet_measure,
     is_in_positive_chamber,
     lattice_points,
-    lift_polytope,
     pl_cells,
-    transform,
     triangulate,
     unimodular_complete_last_row,
 )
@@ -31,6 +27,7 @@ import incidence_reference
 import subset_reference
 from conftest import slanted_facet_index
 from incidence_reference import affine_rank
+from lemmas import facet_lattice_count, facet_measure, lift_polytope, transform
 
 
 def brute_force_dilated_points(P, k):

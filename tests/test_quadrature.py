@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kstab.polynomial import MultivariatePolynomial as Poly
-from kstab.polytope import PiecewiseAffine, RationalPolytope, transform
+from kstab.polytope import PiecewiseAffine, RationalPolytope
 from kstab.quadrature import (
     MAX_QUADRATURE_NODES,
     GradedQuadratureSpec,
@@ -28,6 +28,7 @@ from kstab.quadrature import (
 )
 from conftest import slanted_facet_index
 from expand_reference import simplex_monomial_integral
+from lemmas import facet_measure, transform
 
 
 def binomial(n, k):
@@ -85,8 +86,6 @@ def test_boundary_slanted_facet_unit_mass(triangle_23):
     total = boundary_integral(one, triangle_23)
     # slanted facet carries measure 1 = 1/(n-1)!; legs carry 2 and 3
     assert total == 6
-    from kstab.polytope import facet_measure
-
     assert facet_measure(triangle_23, slanted_facet_index(triangle_23)) == 1
 
 

@@ -16,10 +16,8 @@ from kstab.rootsystem import (
     dh_weight,
     dh_weight_gradient_sum,
     dimension,
-    f_g_fraction,
-    homogeneous_parts,
-    weyl_polynomial,
 )
+from lemmas import f_g_fraction, homogeneous_parts, weyl_polynomial
 from rootsystem_reference import reference_positive_roots
 
 BUILTINS = [

@@ -30,7 +30,7 @@ def cases(draw):
     pieces = draw(st.lists(st.tuples(st.tuples(*[coef] * n), coef), min_size=1, max_size=3))
     f = PiecewiseAffine.from_pieces(pieces)
     R = draw(st.fractions(min_value=0, max_value=4, max_denominator=3))
-    m = admissible_modulus(f, P, R)
+    m = admissible_modulus(f, P)
     assume(m <= MAX_MODULUS)
     k = m * draw(st.integers(1, 2))
     assume(len(dilated_lattice_points(P, k)) <= MAX_POINTS)
