@@ -13,7 +13,6 @@ from .polytope import (
     PiecewiseAffine,
     RationalPolytope,
     facet_chart,
-    is_in_positive_chamber,
     lattice_points,
     triangulate,
 )

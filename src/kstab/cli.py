@@ -27,7 +27,7 @@ from .mabuchi import (
     _resolve_a,
 )
 from .pick import pick_check
-from .polynomial import format_fraction
+from .polynomial import MultivariatePolynomial, format_fraction
 from .quadrature import graded_integral_array
 from .rootsystem import (
     QN1_PFG_RATIO,
@@ -98,6 +98,20 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("cannot parse rational %r" % text) from None
 
 
+def _node_count(text: str) -> int:
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("need at least two nodes per cell, got %d" % value)
+    return value
+
+
+def _grading_ratio(text: str) -> Fraction:
+    value = _rational(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError("grading ratio must lie in (0, 1), got %s" % text)
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
@@ -156,13 +170,9 @@ def _cmd_pick(args) -> int:
         h = parse_polynomial(spec.options["pick_h"], "spec.options.pick_h", spec.polytope.dim)
     else:
         # default test function: the sum of squares, strictly convex anywhere
-        from .polynomial import MultivariatePolynomial as Poly
-
         n = spec.polytope.dim
-        h = sum(
-            (Poly.variable(n, i) * Poly.variable(n, i) for i in range(n)),
-            Poly.zero(n),
-        )
+        xs = [MultivariatePolynomial.variable(n, i) for i in range(n)]
+        h = sum((x * x for x in xs), MultivariatePolynomial(n))
     passed, fit = pick_check(spec.polytope, h, ks=args.kset)
     report = {"command": "pick", "passed": passed, "fit": fit.to_json_dict()}
     _write_report(report, args.out, args.no_meta)
@@ -262,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report to this path")
         p.add_argument("--no-meta", action="store_true", help="omit the timestamp")
         if quad:
-            p.add_argument("--quad-depth", type=int, default=12)
-            p.add_argument("--quad-ratio", type=_rational, default="1/2")
-            p.add_argument("--quad-nodes", type=int, default=10)
+            p.add_argument("--quad-depth", type=_positive_int, default=12)
+            p.add_argument("--quad-ratio", type=_grading_ratio, default="1/2")
+            p.add_argument("--quad-nodes", type=_node_count, default=10)
             p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser("futaki", help="closed-form Futaki invariant, optional lattice oracle")

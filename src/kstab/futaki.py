@@ -36,7 +36,6 @@ from .polytope import (
     RationalPolytope,
     check_walk,
     dilated_lattice_points,
-    is_in_positive_chamber,
     pl_cells,
 )
 from .quadrature import (
@@ -59,7 +58,7 @@ class AmplenessError(ValueError):
 
 
 def _require_positive_chamber(P: RationalPolytope) -> None:
-    if not is_in_positive_chamber(P):
+    if not P.in_positive_chamber:
         bad = next(p for p in P.vertices if any(x <= 0 for x in p))
         raise AmplenessError(
             "polytope must lie in the open positive chamber; vertex %s does not"

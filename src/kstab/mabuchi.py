@@ -141,7 +141,7 @@ class SymplecticPotential:
         scales = (0.5, 0.5, 0.5, -0.5, 1.0) if canonical else (0.0,) * 5
         self._facet_tensors = [c * a for c, a in zip(scales, powers)]
         # the perturbation's k-th partials as one table, None when all vanish
-        g = perturbation or MultivariatePolynomial.zero(polytope.dim)
+        g = perturbation or MultivariatePolynomial(polytope.dim)
         tables = [float_table(_partials(g, order)) for order in range(5)]
         self._g = [t if len(t[0]) else None for t in tables]
         self.hessian(np.array(interior_grid(polytope, 9)))  # raises when not PD
@@ -207,7 +207,13 @@ class SymplecticPotential:
 
 
 def interior_grid(P: RationalPolytope, count: int) -> list[tuple[float, ...]]:
-    """Deterministic strictly interior sample points."""
+    """``count`` distinct, strictly interior sample points, deterministically.
+
+    In dimension one they are evenly spaced. Otherwise they are the centroid
+    c, then c + t (v - c) for every vertex v and t = 1/4, 1/2, 3/4, 9/10, then
+    t = 1/8, 3/8, 5/8, 7/8, 1/16, ...: the odd multiples of 2^-m, m >= 3.
+    Each t < 1 occurs once, and no two vertices share a ray from c.
+    """
     if P.dim == 1:
         (a,), (b,) = P.vertices[0], P.vertices[-1]
         a, b = float(min(a, b)), float(max(a, b))
@@ -217,16 +223,12 @@ def interior_grid(P: RationalPolytope, count: int) -> list[tuple[float, ...]]:
     c = tuple(float(x) for x in P.centroid())
     pts = [c]
     fractions = [0.25, 0.5, 0.75, 0.9]
-    i = 0
+    m = 3
     while len(pts) < count:
-        v = P.vertices[i % len(P.vertices)]
-        t = fractions[(i // len(P.vertices)) % len(fractions)]
-        pts.append(
-            tuple(ci + t * (float(vi) - ci) for ci, vi in zip(c, v))
-        )
-        i += 1
-        if i > 16 * count:
-            break
+        for t in fractions:
+            pts += [tuple(ci + t * (float(vi) - ci) for ci, vi in zip(c, v)) for v in P.vertices]
+        fractions = [j / 2**m for j in range(1, 2**m, 2)]
+        m += 1
     return pts[:count]
 
 

@@ -93,10 +93,6 @@ class MultivariatePolynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "MultivariatePolynomial":
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars: int, c) -> "MultivariatePolynomial":
         return cls(nvars, {(0,) * nvars: as_fraction(c)})
 
@@ -141,9 +137,6 @@ class MultivariatePolynomial:
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self._terms), default=-1)
-
-    def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(int(e) for e in exp), Fraction(0))
 
     def __eq__(self, other) -> bool:
         return (
@@ -294,17 +287,6 @@ class MultivariatePolynomial:
             m, {_unpack(k, base, m): Fraction(c, den) for k, c in coeffs.items()}
         )
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nvars": self.nvars,
-            "terms": [
-                {"exp": list(e), "coef": format_fraction(c)}
-                for e, c in self.sorted_terms()
-            ],
-        }
-
 
 # -- the integer pullback kernel --------------------------------------------
 
@@ -372,7 +354,3 @@ def _pullback(h: MultivariatePolynomial, matrix, shift) -> tuple[dict[int, int],
         return out
 
     return expand(terms, 0), base, cden * L**deg
-
-
-# Short alias used heavily inside the package.
-Poly = MultivariatePolynomial

@@ -3,6 +3,9 @@
 Everything here is exact: convex hulls, vertex enumeration, facet charts and
 lattice point walks all run on integer or ``Fraction`` arithmetic with no
 epsilon comparisons, which removes an entire class of robustness failures.
+Every determinant (simplex volumes, the simplex integrals' Jacobians, the
+Cartan minors) is ``_det``: Bareiss's fraction-free elimination on the
+matrix scaled row by row to integers.
 
 One double-description kernel (``_extreme_rays``) serves both directions.
 The facets of conv(V) are the extreme rays of the cone of (w, c) with
@@ -47,47 +50,32 @@ class GeometryError(ValueError):
 # exact linear algebra helpers
 # ---------------------------------------------------------------------------
 
-def _row_reduce(
-    rows: Sequence[Sequence], ncols: int | None = None
-) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Gauss-Jordan elimination over the rationals.
-
-    Brings the first ``ncols`` columns (default: all) to reduced row echelon
-    form with unit pivots; later columns, such as a right-hand side, ride
-    along. Returns the reduced rows, the pivot columns in order, and the
-    determinant of the rows restricted to the first ``ncols`` columns (0
-    unless that block is square and nonsingular).
-    """
-    a = [[as_fraction(x) for x in row] for row in rows]
-    m = len(a)
-    if ncols is None:
-        ncols = len(a[0]) if a else 0
-    pivots: list[int] = []
-    det = Fraction(1)
-    for col in range(ncols):
-        top = len(pivots)
-        p = next((r for r in range(top, m) if a[r][col] != 0), None)
-        if p is None:
-            continue
-        if p != top:
-            a[top], a[p] = a[p], a[top]
-            det = -det
-        piv = a[top][col]
-        det *= piv
-        prow = a[top] = [x / piv for x in a[top]]
-        for r in range(m):
-            f = a[r][col]
-            if r != top and f != 0:
-                a[r] = [x - f * y for x, y in zip(a[r], prow)]
-        pivots.append(col)
-    if not m == ncols == len(pivots):
-        det = Fraction(0)
-    return a, pivots, det
-
-
 def _det(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a square matrix."""
-    return _row_reduce(rows)[2]
+    """Exact determinant of a square matrix of ints and Fractions (1 when empty).
+
+    Each row is scaled to integers by the lcm of its denominators, then
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968) runs on the
+    integer matrix: every division in it is exact, and rows are swapped only
+    on a zero pivot.
+    """
+    a, scale = [], 1
+    for row in rows:
+        m = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (m // x.denominator) for x in row])
+        scale *= m
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            p = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if p is None:
+                return Fraction(0)
+            a[k], a[p], sign = a[p], a[k], -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return Fraction(sign * a[-1][-1], scale) if n else Fraction(1)
 
 
 def primitivize(vec: Sequence) -> IntVec:
@@ -336,13 +324,6 @@ class RationalPolytope:
             total += abs(_det(rows)) / nfact
         return total
 
-    def to_json_dict(self) -> dict:
-        from .polynomial import format_fraction
-
-        return {
-            "vertices": [[format_fraction(x) for x in p] for p in self.vertices]
-        }
-
 
 # ---------------------------------------------------------------------------
 # facet charts
@@ -538,24 +519,6 @@ class PiecewiseAffine:
         dens += [x.denominator for a, _ in self.pieces for x in a]
         return math.lcm(*dens)
 
-    def scale(self, c) -> "PiecewiseAffine":
-        c = as_fraction(c)
-        if c < 0:
-            raise ValueError("scaling by a negative constant breaks convexity")
-        return PiecewiseAffine(
-            tuple((tuple(c * x for x in a), c * b) for a, b in self.pieces)
-        )
-
-    def to_json_dict(self) -> dict:
-        from .polynomial import format_fraction
-
-        return {
-            "pieces": [
-                {"a": [format_fraction(x) for x in a], "b": format_fraction(b)}
-                for a, b in self.pieces
-            ]
-        }
-
 
 def pl_cells(P: RationalPolytope, f: PiecewiseAffine) -> list[tuple[int, RationalPolytope]]:
     """Full-dimensional cells of P on which a single piece of f is active.
@@ -621,8 +584,3 @@ def triangulate(P: RationalPolytope) -> list[list[Point]]:
         return out
 
     return [[verts[j] for j in t] for t in cone(frozenset(range(len(verts))), n)]
-
-
-def is_in_positive_chamber(P: RationalPolytope) -> bool:
-    """True when every vertex has strictly positive coordinates."""
-    return P.in_positive_chamber

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .polynomial import MultivariatePolynomial, Poly
+from .polynomial import MultivariatePolynomial
 
 # q_{N-1} as a fraction of p * f_G. With f_G = 2 * sum_j d_j log p this is
 # exactly 1/2; kept as a named constant because the literature also floats
@@ -86,9 +86,6 @@ class RootSystem:
     @property
     def num_positive_roots(self) -> int:
         return len(self.positive_roots)
-
-    def to_json_dict(self) -> dict:
-        return {"rank": self.rank, "m_vectors": [list(v) for v in self.positive_roots]}
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +244,9 @@ def build_classical(series: str, rank: int) -> RootSystem:
 @lru_cache(maxsize=None)
 def dh_weight(rs: RootSystem) -> MultivariatePolynomial:
     """Duistermaat-Heckman density p(x) = prod_a (M^a . x), expanded."""
-    p = Poly.constant(rs.rank, 1)
+    p = MultivariatePolynomial.constant(rs.rank, 1)
     for m in rs.positive_roots:
-        p = p * Poly.affine([Fraction(x) for x in m], 0)
+        p = p * MultivariatePolynomial.affine([Fraction(x) for x in m], 0)
     return p
 
 
@@ -257,7 +254,7 @@ def dh_weight(rs: RootSystem) -> MultivariatePolynomial:
 def dh_weight_gradient_sum(rs: RootSystem) -> MultivariatePolynomial:
     """q_{N-1} = sum_j d/dx_j p, the subleading homogeneous part."""
     p = dh_weight(rs)
-    out = Poly.zero(rs.rank)
+    out = MultivariatePolynomial(rs.rank)
     for j in range(rs.rank):
         out = out + p.partial(j)
     return out

@@ -1,4 +1,4 @@
-"""Job spec files: parsing, validation and lossless serialization.
+"""Job spec files: parsing and validation.
 
 A job spec is a single JSON document describing the root system, the moment
 polytope and the optional degeneration / potential data. Every rational is a
@@ -10,9 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
 
-from .polynomial import MultivariatePolynomial, format_fraction
+from .polynomial import MultivariatePolynomial
 from .polytope import PiecewiseAffine, RationalPolytope
 from .rootsystem import RootSystem, build_classical, build_from_cartan
 
@@ -180,25 +179,6 @@ class JobSpec:
     potential_perturbation: MultivariatePolynomial | None = None
     potential_canonical: bool = True
     options: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "schema": SCHEMA,
-            "root_system": self.root_system.to_json_dict(),
-            "polytope": self.polytope.to_json_dict(),
-        }
-        if self.pl_function is not None:
-            out["pl_function"] = self.pl_function.to_json_dict()
-        if self.R is not None:
-            out["R"] = format_fraction(self.R)
-        if self.potential_perturbation is not None or not self.potential_canonical:
-            pot: dict[str, Any] = {"canonical": self.potential_canonical}
-            if self.potential_perturbation is not None:
-                pot["perturbation"] = self.potential_perturbation.to_json_dict()
-            out["potential"] = pot
-        if self.options:
-            out["options"] = dict(sorted(self.options.items()))
-        return out
 
 
 def parse_jobspec(data) -> JobSpec:

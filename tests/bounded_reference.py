@@ -15,21 +15,15 @@ from itertools import combinations
 from typing import Sequence
 
 from kstab.polynomial import as_fraction
-from kstab.polytope import (
-    GeometryError,
-    Halfspace,
-    Point,
-    _row_reduce,
-    primitivize,
-)
+from kstab.polytope import GeometryError, Halfspace, Point, primitivize
 from incidence_reference import affine_rank
-from subset_reference import _enumerate_vertices, _hull_facets, _normal_from_span
+from subset_reference import _enumerate_vertices, _hull_facets, _normal_from_span, row_reduce
 
 
 def check_bounded(facets: list[Halfspace], n: int) -> None:
     """Raise GeometryError when the normals admit a recession direction."""
     normals = [f[0] for f in facets]
-    if len(_row_reduce(normals)[1]) < n:
+    if len(row_reduce(normals)[1]) < n:
         raise GeometryError("halfspace intersection is unbounded (normals do not span)")
     # A nontrivial pointed recession cone has an extreme ray cut out by n-1
     # linearly independent active constraints; scan all candidates.

@@ -44,7 +44,7 @@ def substitute_affine(
             cache.append(cache[-1] * lines[i])
         return cache[e]
 
-    result = MultivariatePolynomial.zero(m)
+    result = MultivariatePolynomial(m)
     for exp, coef in h.terms.items():
         term = MultivariatePolynomial.constant(m, coef)
         for i, e in enumerate(exp):

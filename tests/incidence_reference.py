@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from kstab.polytope import Point, RationalPolytope, _row_reduce
+from kstab.polytope import Point, RationalPolytope
+from subset_reference import row_reduce
 
 
 def affine_rank(points: Sequence[Point]) -> int:
@@ -20,7 +21,7 @@ def affine_rank(points: Sequence[Point]) -> int:
     if len(points) <= 1:
         return 0
     p0 = points[0]
-    return len(_row_reduce([[x - y for x, y in zip(p, p0)] for p in points[1:]])[1])
+    return len(row_reduce([[x - y for x, y in zip(p, p0)] for p in points[1:]])[1])
 
 
 def incidence(P: RationalPolytope) -> list[frozenset]:

@@ -321,7 +321,7 @@ def homogeneous_parts(
     if q.degree() != N:
         raise ValueError("polynomial degree %d does not match N=%d" % (q.degree(), N))
     qN = homogeneous_part(q, N)
-    qN1 = homogeneous_part(q, N - 1) if N >= 1 else MultivariatePolynomial.zero(q.nvars)
+    qN1 = homogeneous_part(q, N - 1) if N >= 1 else MultivariatePolynomial(q.nvars)
     return qN, qN1, q - qN - qN1
 
 

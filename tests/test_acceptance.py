@@ -85,7 +85,7 @@ def test_criterion_03_constant_f_vanishes(rs_a1, rs_a2, interval_12, interval_13
         (rs_a2, square_11_22),
     ]
     values = [
-        futaki_closed_form(rs, P, PiecewiseAffine.constant(P.dim, c))
+        futaki_closed_form(rs, P, PiecewiseAffine.from_pieces([((0,) * P.dim, c)]))
         for rs, P in suite
         for c in (1, Fraction(5, 2))
     ]

@@ -366,6 +366,12 @@ def _exit_code(argv) -> int:
         pytest.param(SU3_SPEC, ["futaki", "--R", "abc"], "--R: cannot parse rational 'abc'", id="R-abc"),
         pytest.param(SU2_SPEC, ["mabuchi", "--quad-ratio", "1/0"], "--quad-ratio: cannot", id="ratio-div0"),
         pytest.param(SU2_SPEC, ["scalar", "--quad-ratio", "1/0"], "--quad-ratio: cannot", id="scalar-div0"),
+        pytest.param(SU2_SPEC, ["mabuchi", "--quad-depth", "0"], "argument --quad-depth: must be >= 1",
+                     id="quad-depth-0"),
+        pytest.param(SU2_SPEC, ["mabuchi", "--quad-nodes", "1"],
+                     "argument --quad-nodes: need at least two nodes per cell", id="quad-nodes-1"),
+        pytest.param(SU2_SPEC, ["scalar", "--quad-ratio", "3/2"],
+                     "argument --quad-ratio: grading ratio must lie in (0, 1)", id="quad-ratio-above-1"),
         pytest.param(SU2_SPEC, ["mabuchi", "--tol", "nan"], "tol must be >= 0, got nan", id="tol-nan"),
         pytest.param(SU2_SPEC, ["scalar", "--tol", "nan"], "tol must be >= 0, got nan", id="scalar-tol-nan"),
         pytest.param(SU2_SPEC, ["mabuchi", "--tol=-1e-6"], "tol must be >= 0, got -1e-06", id="tol-negative"),
@@ -576,15 +582,6 @@ def test_scalar_command(su2_spec, tmp_path):
     report = json.loads(out.read_text())
     assert report["average_identity_ok"] is True
     assert report["a_times_vol"] == "5"
-
-
-def test_jobspec_round_trip():
-    spec = parse_jobspec(SU2_SPEC)
-    again = parse_jobspec(spec.to_json_dict())
-    assert again.root_system == spec.root_system
-    assert again.polytope == spec.polytope
-    assert again.pl_function == spec.pl_function
-    assert again.R == spec.R == Fraction(3)
 
 
 def test_jobspec_dimension_mismatch():

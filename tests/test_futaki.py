@@ -97,14 +97,15 @@ def test_futaki_constant_vanishes(rs_a1, rs_a2, interval_12, interval_13, square
         (rs_a2, square_11_22),
     ]:
         for c in (1, Fraction(7, 3), -2):
-            f = PiecewiseAffine.constant(P.dim, c)
+            f = PiecewiseAffine.from_pieces([((0,) * P.dim, c)])
             assert futaki_closed_form(rs, P, f) == 0
 
 
 def test_futaki_linearity(rs_a1, rs_a2, interval_12, square_11_22, f_kink, f_max_xy):
     for rs, P, f in [(rs_a1, interval_12, f_kink), (rs_a2, square_11_22, f_max_xy)]:
         base = futaki_closed_form(rs, P, f)
-        assert futaki_closed_form(rs, P, f.scale(2)) == 2 * base
+        doubled = PiecewiseAffine.from_pieces([([2 * x for x in a], 2 * b) for a, b in f.pieces])
+        assert futaki_closed_form(rs, P, doubled) == 2 * base
         assert futaki_closed_form(rs, P, add_constant(f, Fraction(5, 7))) == base
 
 
@@ -125,7 +126,7 @@ def test_wk_enumeration_oracle(rs_a1, interval_12, f_identity):
 
 
 def test_wk_constant_f_is_kR_dk(rs_a1, interval_12):
-    f0 = PiecewiseAffine.constant(1, 0)
+    f0 = PiecewiseAffine.from_pieces([((0,), 0)])
     for k in range(1, 7):
         assert weighted_weight_wk(rs_a1, interval_12, f0, 2, k) == 2 * k * weighted_count_dk(
             rs_a1, interval_12, k
@@ -199,7 +200,7 @@ def test_r_shift_keeps_f1_on_boxes(square_11_22, f_max_xy, series):
 
 
 def test_wk_via_lift_base_case(rs_a1, interval_12):
-    f0 = PiecewiseAffine.constant(1, 0)
+    f0 = PiecewiseAffine.from_pieces([((0,), 0)])
     assert wk_via_lift(rs_a1, interval_12, f0, 1, 1) == 5  # k R d_k with d_1 = 5
 
 

@@ -51,7 +51,7 @@ def test_triangulate_cube_builds_no_chart_or_hull(n, monkeypatch):
 
     for owner, name in [
         (polytope, "facet_chart"),
-        (polytope, "_row_reduce"),
+        (polytope, "_det"),
         (RationalPolytope, "from_vertices"),
         (RationalPolytope, "support_value"),
     ]:

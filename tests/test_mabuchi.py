@@ -140,7 +140,7 @@ def test_non_pd_perturbation_rejected(interval_12):
 
 def test_dimension_mismatch(interval_12):
     with pytest.raises(PotentialError):
-        SymplecticPotential(interval_12, perturbation=Poly.zero(2))
+        SymplecticPotential(interval_12, perturbation=Poly(2))
 
 
 # -- scalar curvature ---------------------------------------------------------
@@ -383,6 +383,21 @@ def test_callable_a_on_node_arrays_matches_presets(rs_a2, square_11_22):
     pts = np.array(interior_grid(square_11_22, 5))
     preset_fn = make_a_preset(rs_a2, square_11_22, "csc")
     assert np.allclose(el_residual(rs_a2, u, csc, pts), el_residual(rs_a2, u, preset_fn, pts), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["interval_12", "square_11_22", "triangle_23", "simplex_235"])
+def test_interior_grid_points_are_distinct_and_interior(name, request):
+    P = request.getfixturevalue(name)
+    for count in (1, 9, 100, 1000):
+        pts = interior_grid(P, count)
+        assert len(pts) == len(set(pts)) == count
+        for p in pts:
+            assert all(P.support_value(i, [Fraction(x) for x in p]) > 0 for i in range(len(P.facets)))
+    if P.dim > 1:  # the first 1 + 4 #vertices points stay: the centroid, then four per vertex ray
+        c = [float(x) for x in P.centroid()]
+        rays = [[ci + t * (float(vi) - ci) for ci, vi in zip(c, v)]
+                for t in (0.25, 0.5, 0.75, 0.9) for v in P.vertices]
+        assert [list(p) for p in pts[: 1 + 4 * len(P.vertices)]] == [c] + rays
 
 
 def test_callable_a_of_the_wrong_shape_is_refused(rs_a1, interval_12):

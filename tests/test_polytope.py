@@ -4,17 +4,16 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kstab.polytope import (
     GeometryError,
     PiecewiseAffine,
     RationalPolytope,
-    _row_reduce,
+    _det,
     dilated_lattice_points,
     facet_chart,
-    is_in_positive_chamber,
     lattice_points,
     pl_cells,
     triangulate,
@@ -28,6 +27,7 @@ import subset_reference
 from conftest import slanted_facet_index
 from incidence_reference import affine_rank
 from lemmas import facet_lattice_count, facet_measure, lift_polytope, transform
+from subset_reference import row_reduce
 
 
 def brute_force_dilated_points(P, k):
@@ -185,7 +185,7 @@ def test_hull_kernel_matches_subset_enumeration(case):
     assert list(P.facets) == subset_reference._hull_facets(points, n)
     vertices = [
         p for p in points
-        if len(_row_reduce([v for v, c in P.facets if sum(a * x for a, x in zip(v, p)) == c])[1]) == n
+        if len(row_reduce([v for v, c in P.facets if sum(a * x for a, x in zip(v, p)) == c])[1]) == n
     ]
     assert list(P.vertices) == vertices
 
@@ -231,7 +231,7 @@ def test_vertex_kernel_matches_subset_enumeration(case):
     at the normals alone.
     """
     system, n = case
-    spans = len(_row_reduce([v for v, _ in system])[1]) == n
+    spans = len(row_reduce([v for v, _ in system])[1]) == n
     try:
         bounded_reference.check_bounded(system, n)
         bounded = True
@@ -358,27 +358,50 @@ def _systems(draw):
     return rows, [draw(_entries) for _ in range(m)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_systems())
-def test_row_reduce_matches_independent_references(system):
-    from kstab.polytope import _det
+@st.composite
+def _square(draw):
+    """An n x n rational matrix, n = 0-5, often with a zero leading entry or a dependent row."""
+    n = draw(st.integers(0, 5))
+    rows = [[draw(_entries) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        rows[0][0] = Fraction(0)
+    if n >= 2 and draw(st.booleans()):
+        s, t = draw(_entries), draw(_entries)
+        rows[-1] = [s * x + t * y for x, y in zip(rows[0], rows[n - 2])]
+    return rows
 
+
+def _q(*xs):
+    return [Fraction(x) for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems(), _square())
+@example(([[1]], [1]), [])
+@example(([[1]], [1]), [_q(0, 2), _q("1/3", 5)])  # zero leading pivot: one swap
+@example(([[1]], [1]), [_q(0, 1, 2), _q(0, 3, 4), _q(5, 6, 7)])  # swap with the last row at k = 0
+@example(([[1]], [1]), [_q(1, 2, 3), _q(2, 4, 7), _q(1, 5, 9)])  # zero pivot at k = 1
+@example(([[1]], [1]), [_q(1, 2, 3), _q(2, 4, 6), _q(3, 6, "19/2")])  # singular: no pivot at k = 1
+@example(([[1]], [1]), [_q(0, 0, 0, 0, 1), _q(0, 0, 0, 1, 0), _q(0, 0, 1, 0, 0),
+                        _q(0, 1, 0, 0, 0), _q("2/3", 0, 0, 0, 0)])  # swaps at k = 0 and k = 1
+def test_row_reduce_matches_independent_references(system, square):
+    assert _det(square) == leibniz_det(square)
     rows, rhs = system
     m, k = len(rows), len(rows[0])
-    _, pivots, det = _row_reduce(rows)
+    _, pivots, det = row_reduce(rows)
     assert len(pivots) == minor_rank(rows)
     if m != k:
         assert det == 0
         return
     assert det == _det(rows) == leibniz_det(rows)
-    reduced, pivots, _ = _row_reduce([row + [b] for row, b in zip(rows, rhs)], k)
+    reduced, pivots, _ = row_reduce([row + [b] for row, b in zip(rows, rhs)], k)
     assert (len(pivots) == k) == (det != 0)
     if det == 0:
         return
     x = [[row[k]] for row in reduced]
     assert matmul(rows, x) == [[b] for b in rhs]
     eye = [[Fraction(i == j) for j in range(k)] for i in range(k)]
-    reduced, _, _ = _row_reduce([row + e for row, e in zip(rows, eye)], k)
+    reduced, _, _ = row_reduce([row + e for row, e in zip(rows, eye)], k)
     assert matmul(rows, [row[k:] for row in reduced]) == eye
 
 
@@ -468,8 +491,6 @@ def test_facet_count_matches_direct_enumeration(triangle_23, simplex_235):
 
 
 def test_chart_unimodular_and_bijective(unit_square, triangle_23, simplex_235):
-    from kstab.polytope import _det
-
     for P in (unit_square, triangle_23, simplex_235):
         for i in range(len(P.facets)):
             chart = facet_chart(P, i)
@@ -522,7 +543,7 @@ def test_facet_count_converges_to_measure(unit_square, triangle_23):
 # -- lift, triangulation, transforms ----------------------------------------
 
 def test_lift_rectangle(interval_12):
-    f = PiecewiseAffine.constant(1, 0)
+    f = PiecewiseAffine.from_pieces([((0,), 0)])
     Q = lift_polytope(interval_12, f, 1)
     assert set(Q.vertices) == {
         (Fraction(1), Fraction(0)),
@@ -596,10 +617,8 @@ def test_transform_rejects_non_unimodular(unit_square):
 
 
 def test_positive_chamber(interval_12):
-    assert is_in_positive_chamber(interval_12)
-    assert not is_in_positive_chamber(
-        RationalPolytope.from_vertices([[0], [1]])
-    )
+    assert interval_12.in_positive_chamber
+    assert not RationalPolytope.from_vertices([[0], [1]]).in_positive_chamber
 
 
 # -- piecewise affine --------------------------------------------------------

@@ -24,7 +24,7 @@ def polynomials(nvars):
     """Zero, constants and sparse polynomials of degree <= MAX_DEGREE."""
     coef = st.fractions(min_value=-7, max_value=7, max_denominator=9)
     return st.one_of(
-        st.just(Poly.zero(nvars)),
+        st.just(Poly(nvars)),
         coef.map(lambda c: Poly.constant(nvars, c)),
         st.dictionaries(exponents(nvars), coef, min_size=1, max_size=5).map(
             lambda d: Poly(nvars, d)

@@ -90,7 +90,7 @@ def test_boundary_slanted_facet_unit_mass(triangle_23):
 
 
 def test_pl_constant_factor(interval_12):
-    c = PiecewiseAffine.constant(1, Fraction(5, 3))
+    c = PiecewiseAffine.from_pieces([((0,), Fraction(5, 3))])
     x = Poly.variable(1, 0)
     assert integral_pl_poly(c, x, interval_12) == Fraction(5, 3) * Fraction(3, 2)
 

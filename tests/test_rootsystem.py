@@ -199,7 +199,7 @@ def test_f_g_identities():
         assert den == dh_weight(rs)
         # numerator is 2 sum_j d_j p by construction; check structurally
         p = dh_weight(rs)
-        grad_sum = Poly.zero(rs.rank)
+        grad_sum = Poly(rs.rank)
         for j in range(rs.rank):
             grad_sum = grad_sum + p.partial(j)
         assert num == 2 * grad_sum
