@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -109,6 +110,16 @@ def _grading_ratio(text: str) -> Fraction:
     value = _rational(text)
     if not 0 < value < 1:
         raise argparse.ArgumentTypeError("grading ratio must lie in (0, 1), got %s" % text)
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a number, got %r" % text) from None
+    if not 0 <= value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError("must be finite and >= 0, got %r" % value)
     return value
 
 
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--quad-depth", type=_positive_int, default=12)
             p.add_argument("--quad-ratio", type=_grading_ratio, default="1/2")
             p.add_argument("--quad-nodes", type=_node_count, default=10)
-            p.add_argument("--tol", type=float, default=1e-6)
+            p.add_argument("--tol", type=_tolerance, default=1e-6)
 
     p = sub.add_parser("futaki", help="closed-form Futaki invariant, optional lattice oracle")
     p.add_argument("--spec", required=True)

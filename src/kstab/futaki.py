@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from .polynomial import as_fraction, format_fraction
@@ -154,18 +153,29 @@ def weighted_weight_wk(
     With L the lcm of the denominators of f, every L k f(lambda/k) =
     max_i (<L a_i, lambda> + k L b_i) is an integer, so the walk sums
     sum q and sum q L k f as Python ints and builds one Fraction at the end.
-    The sum is exact for every k >= 1; it is a polynomial in k only along
-    multiples of ``admissible_modulus(f, P)``, which ``ehrhart_fit`` samples.
+    Each piece keeps only its nonzero entries (j, L a_ij), as ``weyl_eval``
+    does for the coroots. The sum is exact for every k >= 1; it is a
+    polynomial in k only along multiples of ``admissible_modulus(f, P)``,
+    which ``ehrhart_fit`` samples.
     """
     _require_match(rs, P)
     R = as_fraction(R)
     L = f.denominator_lcm
-    pieces = [(tuple(int(L * x) for x in a), int(k * L * b)) for a, b in f.pieces]
+    pieces = [
+        (int(k * L * b), tuple((j, int(L * x)) for j, x in enumerate(a) if x))
+        for a, b in f.pieces
+    ]
     sum_q = sum_qf = 0
     for lam in dilated_lattice_points(P, k):
         q = weyl_eval(rs, lam)
         sum_q += q
-        sum_qf += q * max(sum(map(mul, a, lam)) + kb for a, kb in pieces)
+        top = None
+        for v, support in pieces:
+            for j, x in support:
+                v += x * lam[j]
+            if top is None or v > top:
+                top = v
+        sum_qf += q * top
     return (k * R * sum_q - Fraction(sum_qf, L)) / rs.denom
 
 

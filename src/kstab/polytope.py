@@ -498,10 +498,6 @@ class PiecewiseAffine:
             norm.append((tuple(as_fraction(x) for x in a), as_fraction(b)))
         return cls(tuple(norm))
 
-    @classmethod
-    def constant(cls, nvars: int, c) -> "PiecewiseAffine":
-        return cls.from_pieces([((0,) * nvars, c)])
-
     @property
     def nvars(self) -> int:
         return len(self.pieces[0][0])

@@ -22,7 +22,8 @@ above ``MAX_RANK``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -51,12 +52,25 @@ class RootSystem:
     """Positive coroots of a semisimple group, as coefficient vectors.
 
     ``positive_roots`` holds one integer vector M^a per positive root;
-    ``denom`` is the product of the coordinate sums |M^a|.
+    ``denom`` is the product of the coordinate sums |M^a|, the coroot
+    heights. Each height is stored once, with the nonzero entries (j, M^a_j)
+    of its vector, in the derived field ``_weyl_factors`` that ``weyl_eval``
+    reads; it is set on construction and takes no part in equality, hashing
+    or the repr.
     """
 
     rank: int
     positive_roots: tuple[tuple[int, ...], ...]
     denom: int
+    _weyl_factors: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        factors = tuple(
+            (sum(m), tuple((j, x) for j, x in enumerate(m) if x)) for m in self.positive_roots
+        )
+        object.__setattr__(self, "_weyl_factors", factors)
 
     @classmethod
     def from_m_vectors(cls, vectors: Sequence[Sequence[int]]) -> "RootSystem":
@@ -78,9 +92,7 @@ class RootSystem:
                 raise RootSystemError("simple coroot e_%d missing" % (j + 1))
         if len(vecs) < rank:
             raise RootSystemError("fewer positive roots than the rank")
-        denom = 1
-        for v in vecs:
-            denom *= sum(v)
+        denom = math.prod(sum(v) for v in vecs)
         return cls(rank=rank, positive_roots=tuple(vecs), denom=denom)
 
     @property
@@ -271,8 +283,14 @@ def dimension(rs: RootSystem, lam: Sequence[int]) -> Fraction:
 
 
 def weyl_eval(rs: RootSystem, lam: Sequence[int]) -> int:
-    """q(lambda) at an integer point, without expanding the product."""
+    """q(lambda) at an integer point, without expanding the product.
+
+    One factor |M^a| + <M^a, lambda> per positive root, from the stored
+    heights and the nonzero entries of M^a only.
+    """
     total = 1
-    for m in rs.positive_roots:
-        total *= sum(m) + sum(a * b for a, b in zip(m, lam))
+    for c, support in rs._weyl_factors:
+        for j, x in support:
+            c += x * lam[j]
+        total *= c
     return total

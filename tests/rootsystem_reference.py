@@ -1,10 +1,15 @@
-"""Hand-written positive coroot tables for A, B, C, D and G2.
+"""Hand-written positive coroot tables for A, B, C, D and G2, and the
+dense Weyl product.
 
-These were the package's own construction before every root system came
-from the root-string closure on a Cartan matrix. They stay here as an
+The tables were the package's own construction before every root system
+came from the root-string closure on a Cartan matrix. They stay here as an
 independent reference: each series is listed from its explicit
 combinatorics (runs of ones, and the doubled tails of the dual series),
 with no Cartan matrix and no closure.
+
+``reference_weyl_eval`` is the package's former ``weyl_eval``: it
+recomputes every height |M^a| and pairs every entry of M^a, zeros
+included, with lambda at each call.
 """
 
 
@@ -86,3 +91,11 @@ def reference_positive_roots(series: str, rank: int) -> tuple[tuple[int, ...], .
     """Sorted positive coroot vectors of A_n, B_n, C_n, D_n (n >= 2) or G2."""
     vecs = list(_G2_M_VECTORS) if series == "G2" else _TABLES[series](rank)
     return tuple(sorted(vecs))
+
+
+def reference_weyl_eval(rs, lam) -> int:
+    """q(lambda) = prod_a (|M^a| + <M^a, lambda>) from ``rs.positive_roots`` alone."""
+    total = 1
+    for m in rs.positive_roots:
+        total *= sum(m) + sum(a * b for a, b in zip(m, lam))
+    return total

@@ -372,9 +372,18 @@ def _exit_code(argv) -> int:
                      "argument --quad-nodes: need at least two nodes per cell", id="quad-nodes-1"),
         pytest.param(SU2_SPEC, ["scalar", "--quad-ratio", "3/2"],
                      "argument --quad-ratio: grading ratio must lie in (0, 1)", id="quad-ratio-above-1"),
-        pytest.param(SU2_SPEC, ["mabuchi", "--tol", "nan"], "tol must be >= 0, got nan", id="tol-nan"),
-        pytest.param(SU2_SPEC, ["scalar", "--tol", "nan"], "tol must be >= 0, got nan", id="scalar-tol-nan"),
-        pytest.param(SU2_SPEC, ["mabuchi", "--tol=-1e-6"], "tol must be >= 0, got -1e-06", id="tol-negative"),
+        pytest.param(SU2_SPEC, ["mabuchi", "--tol", "nan"], "argument --tol: must be finite and >= 0, got nan",
+                     id="tol-nan"),
+        pytest.param(SU2_SPEC, ["scalar", "--tol", "nan"], "argument --tol: must be finite and >= 0, got nan",
+                     id="scalar-tol-nan"),
+        pytest.param(SU2_SPEC, ["mabuchi", "--tol=-1e-6"], "argument --tol: must be finite and >= 0, got -1e-06",
+                     id="tol-negative"),
+        pytest.param(SU2_SPEC, ["mabuchi", "--tol", "-1"], "argument --tol: must be finite and >= 0, got -1.0",
+                     id="tol-minus-1"),
+        pytest.param(SU2_SPEC, ["mabuchi", "--tol", "inf"], "argument --tol: must be finite and >= 0, got inf",
+                     id="tol-inf"),
+        pytest.param(SU2_SPEC, ["scalar", "--tol", "1e-6x"], "argument --tol: expected a number, got '1e-6x'",
+                     id="tol-not-a-number"),
         pytest.param(SU3_SPEC, ["futaki", "--oracle", "--kmax", "0"], "--kmax: must be >= 1", id="kmax-0"),
         pytest.param(SU3_SPEC, ["futaki", "--oracle", "--kmax", "-5"], "--kmax: must be >= 1", id="kmax-neg"),
         pytest.param(

@@ -1,8 +1,11 @@
 """Root-system construction against the classical representation tables."""
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstab.polynomial import MultivariatePolynomial as Poly
 from kstab.rootsystem import (
@@ -16,9 +19,10 @@ from kstab.rootsystem import (
     dh_weight,
     dh_weight_gradient_sum,
     dimension,
+    weyl_eval,
 )
 from lemmas import f_g_fraction, homogeneous_parts, weyl_polynomial
-from rootsystem_reference import reference_positive_roots
+from rootsystem_reference import reference_positive_roots, reference_weyl_eval
 
 BUILTINS = [
     ("A", 1),
@@ -247,6 +251,44 @@ def test_dimension_integrality_random():
             lam = [rng.randrange(0, 9) for _ in range(rs.rank)]
             d = dimension(rs, lam)
             assert d.denominator == 1 and d > 0, (series, rank, lam)
+
+
+KERNEL_SYSTEMS = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4),
+    ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4),
+    ("D", 4), ("G2", 2), ("F4", 4),
+]
+
+
+@st.composite
+def _system_and_weight(draw):
+    series, rank = draw(st.sampled_from(KERNEL_SYSTEMS))
+    lam = draw(st.lists(st.integers(0, 40), min_size=rank, max_size=rank))
+    return build_classical(series, rank), lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(_system_and_weight())
+def test_weyl_eval_matches_dense_product(case):
+    rs, lam = case
+    got = weyl_eval(rs, lam)
+    assert type(got) is int
+    assert got == reference_weyl_eval(rs, lam)
+    assert weyl_eval(rs, tuple(lam)) == got
+
+
+def test_stored_heights_leave_equality_hash_and_repr_alone():
+    from kstab.rootsystem import RootSystem
+
+    for series, rank in KERNEL_SYSTEMS:
+        rs = build_classical(series, rank)
+        again = RootSystem(rank=rs.rank, positive_roots=rs.positive_roots, denom=rs.denom)
+        assert again == rs and hash(again) == hash(rs)
+        assert repr(again) == repr(rs) and "_weyl_factors" not in repr(rs)
+        heights = [c for c, _ in rs._weyl_factors]
+        assert heights == [sum(m) for m in rs.positive_roots]
+        assert rs.denom == math.prod(heights)
 
 
 def test_weight_polynomials_positive_on_positive_points():

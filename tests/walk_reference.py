@@ -2,7 +2,8 @@
 
 ``kstab.futaki.weighted_weight_wk`` scales f to integer pieces once and sums
 Python ints over the walk. This module evaluates k f(lambda/k) as a Fraction
-at every lattice point, so the tests can compare the two on random input.
+at every lattice point, and q(lambda) by the dense product of
+``rootsystem_reference``, so the tests can compare the two on random input.
 """
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from fractions import Fraction
 
 from kstab.polynomial import as_fraction
 from kstab.polytope import PiecewiseAffine, RationalPolytope, dilated_lattice_points
-from kstab.rootsystem import RootSystem, weyl_eval
+from kstab.rootsystem import RootSystem
+from rootsystem_reference import reference_weyl_eval
 
 
 def weighted_weight_wk(
@@ -23,5 +25,5 @@ def weighted_weight_wk(
         kf = max(
             sum(a_j * l for a_j, l in zip(a, lam)) + k * b for a, b in f.pieces
         )
-        total += weyl_eval(rs, lam) * (k * R - kf)
+        total += reference_weyl_eval(rs, lam) * (k * R - kf)
     return total / rs.denom
