@@ -21,6 +21,7 @@ from .quadrature import (
     QuadratureError,
     boundary_integral,
     boundary_integral_pl_poly,
+    graded_boundary_integral,
     graded_integral,
     graded_integral_array,
     graded_rule,

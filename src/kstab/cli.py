@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -151,28 +152,20 @@ def _cmd_futaki(args) -> int:
     if spec.pl_function is None:
         raise SpecError("spec.pl_function: required by the futaki command")
     R = args.R if args.R is not None else spec.R
-    report: dict = {"command": "futaki"}
-    if args.oracle:
-        if R is None:
-            raise SpecError("spec.R: required when the oracle runs")
+    if not args.oracle:
+        res = closed_form_report(spec.root_system, spec.polytope, spec.pl_function)
+    elif R is None:
+        raise SpecError("spec.R: required when the oracle runs")
+    else:
         res = futaki_cross_check(
-            spec.root_system,
-            spec.polytope,
-            spec.pl_function,
-            R,
-            kmax=args.kmax,
+            spec.root_system, spec.polytope, spec.pl_function, R, kmax=args.kmax
         )
-        report.update(res.to_json_dict())
-        _write_report(report, args.out, args.no_meta)
-        print("F1_closed = %s" % format_fraction(res.F1_closed))
+    _write_report({"command": "futaki", **res.to_json_dict()}, args.out, args.no_meta)
+    print("F1_closed = %s" % format_fraction(res.F1_closed))
+    if args.oracle:
         print("F1_oracle = %s" % format_fraction(res.F1_oracle))
         print("agreement = %s" % res.agreement)
-        return 0 if res.agreement else 1
-    res = closed_form_report(spec.root_system, spec.polytope, spec.pl_function)
-    report.update(res.to_json_dict())
-    _write_report(report, args.out, args.no_meta)
-    print("F1_closed = %s" % format_fraction(res.F1_closed))
-    return 0
+    return 1 if res.agreement is False else 0
 
 
 def _cmd_pick(args) -> int:
@@ -203,8 +196,8 @@ def _build_potential(spec, potential_path: str | None) -> SymplecticPotential:
 def _cmd_mabuchi(args) -> int:
     spec = load_jobspec(args.spec)
     u = _build_potential(spec, args.potential)
-    qspec = _quad_spec(args)
-    res = mabuchi_eval(spec.root_system, u, args.A, qspec)
+    a_fn = _resolve_a(spec.root_system, spec.polytope, args.A)
+    res = mabuchi_eval(spec.root_system, u, a_fn, _quad_spec(args))
     report = {
         "command": "mabuchi",
         "A_preset": args.A,
@@ -215,9 +208,8 @@ def _cmd_mabuchi(args) -> int:
     }
     _write_report(report, args.out, args.no_meta)
     if args.residuals:
-        a_fn = _resolve_a(spec.root_system, spec.polytope, args.A) or (lambda x: 0.0)
         grid = interior_grid(spec.polytope, args.grid)
-        residuals = el_residual(spec.root_system, u, a_fn, np.array(grid))
+        residuals = el_residual(spec.root_system, u, a_fn or (lambda x: 0.0), np.array(grid))
         with open(args.residuals, "w", encoding="utf-8") as fh:
             header = ",".join("x%d" % (i + 1) for i in range(spec.polytope.dim))
             fh.write(header + ",residual\n")
@@ -272,6 +264,7 @@ def _cmd_dims(args) -> int:
     return 0
 
 
+@cache  # parse_args keeps no state, so one parser serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kstab",

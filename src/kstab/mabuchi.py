@@ -18,9 +18,11 @@ _divergence_pg. The Mabuchi energy
 
     F_A(u) = -int_P log det(u_jk) W dmu + 2 int_bd u W dsigma - int_P A u W dmu
 
-is evaluated with the boundary-graded quadrature. el_residual is the
-integrand of its first variation, dF_A = int (-W^{-1}(W u^{jk})_{jk} - A) du
-W dmu for compactly supported du.
+is evaluated with the boundary-graded quadrature: graded_integral_array for
+the two bulk terms and graded_boundary_integral for the boundary term, so
+no facet is charted here. el_residual is the integrand of its first
+variation, dF_A = int (-W^{-1}(W u^{jk})_{jk} - A) du W dmu for compactly
+supported du.
 
 Potentials, scalar_curvature and el_residual take one point or an
 (m, n) array of points, through one code path that broadcasts over the
@@ -50,14 +52,8 @@ from typing import Callable
 import numpy as np
 
 from .polynomial import MultivariatePolynomial, evaluate_table, float_table
-from .polytope import RationalPolytope, facet_chart
-from .quadrature import (
-    GradedQuadratureSpec,
-    _float_chart,
-    _unmap,
-    graded_integral_array,
-    pairwise_sum,
-)
+from .polytope import RationalPolytope
+from .quadrature import GradedQuadratureSpec, graded_boundary_integral, graded_integral_array
 from .rootsystem import (
     RootSystem,
     dh_weight,
@@ -364,33 +360,17 @@ def mabuchi_eval(
         spec = GradedQuadratureSpec()
     p = _weight_data(rs)[0]
     A_fn = _resolve_a(rs, P, A)
+    if P.dim > 1 and not P.is_integer:
+        raise ValueError("the boundary term needs an integer polytope")
 
     def log_det_term(x):
         L = _cholesky(u.hessian(x), x)
         return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1) * p.evaluate_float(x)
 
     bulk, bulk_err = graded_integral_array(log_det_term, P, spec)
-
-    if P.dim == 1:
-        ends = [np.array([float(c) for c in P.facet_vertices(i)[0]]) for i in range(len(P.facets))]
-        vals = [u.value(x, allow_boundary=True) * p.evaluate_float(x) for x in ends]
-        boundary, boundary_err = pairwise_sum(vals), 0.0
-    else:
-        if not P.is_integer:
-            raise ValueError("the boundary term needs an integer polytope")
-        parts, errs = [], []
-        for i in range(len(P.facets)):
-            chart = facet_chart(P, i)
-            cols, shift = _float_chart(chart)
-
-            def on_facet(y, cols=cols, shift=shift):
-                x = _unmap(y, cols, shift)
-                return u.value(x, allow_boundary=True) * p.evaluate_float(x)
-
-            val, err = graded_integral_array(on_facet, chart.image, spec)
-            parts.append(val)
-            errs.append(err)
-        boundary, boundary_err = pairwise_sum(parts), sum(errs)
+    boundary, boundary_err = graded_boundary_integral(
+        lambda x: u.value(x, allow_boundary=True) * p.evaluate_float(x), P, spec
+    )
 
     if A_fn is None:
         linear, linear_err = 0.0, 0.0

@@ -16,9 +16,13 @@ from the centroid, the radial direction is graded geometrically toward the
 boundary, and each facet carries the rule of its chart image one dimension
 down. ``graded_rule`` flattens this into one node array (m, n) and one weight
 vector; ``graded_integral_array`` evaluates an integrand on the nodes in
-chunks of CHUNK_NODES rows and sums the weighted values with math.fsum. A
-rule's size is known from the face flags before anything is allocated, and
-more than MAX_QUADRATURE_NODES nodes per level are refused with ValueError.
+chunks of CHUNK_NODES rows and sums the weighted values with math.fsum.
+``graded_boundary_integral`` integrates over the boundary in the canonical
+measure: each facet takes the rule of its chart image from the same
+pyramids, and the facet sums are added with math.fsum, the only float sum
+here. A rule's size is known from the face flags before anything is
+allocated, and more than MAX_QUADRATURE_NODES nodes per level are refused
+with ValueError.
 """
 from __future__ import annotations
 
@@ -44,20 +48,6 @@ from .polytope import (
 
 class QuadratureError(ArithmeticError):
     """Raised when a float integrand produces a non-finite value."""
-
-
-def pairwise_sum(values: Sequence[float]) -> float:
-    """Pairwise tree reduction: the same values in the same order give the same float."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [
-            vals[i] + vals[i + 1] if i + 1 < len(vals) else vals[i]
-            for i in range(0, len(vals), 2)
-        ]
-        vals = nxt
-    return vals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +220,6 @@ def _unmap(y: np.ndarray, cols: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return shift + sum(y[:, c, None] * cols[:, c] for c in range(cols.shape[1]))
 
 
-def _float_chart(chart) -> tuple[np.ndarray, np.ndarray]:
-    cols, shift = chart.unmap_affine_data()
-    return np.array([[float(x) for x in row] for row in cols]), np.array([float(x) for x in shift])
-
-
 def _pyramids(P: RationalPolytope):
     """The geometry of P's graded rule, in floats.
 
@@ -250,9 +235,8 @@ def _pyramids(P: RationalPolytope):
     out = []
     for i in range(len(P.facets)):
         chart = facet_chart(P, i)
-        out.append(
-            (float(P.support_value(i, c)), centroid, *_float_chart(chart), _pyramids(chart.image))
-        )
+        cols, shift = (np.array(a, dtype=float) for a in chart.unmap_affine_data())
+        out.append((float(P.support_value(i, c)), centroid, cols, shift, _pyramids(chart.image)))
     return out
 
 
@@ -278,6 +262,17 @@ def _rule(geometry, spec: GradedQuadratureSpec, radial) -> tuple[np.ndarray, np.
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _check_size(geometry, spec: GradedQuadratureSpec, dim: int, where: str) -> None:
+    """Refuse a rule of more than MAX_QUADRATURE_NODES nodes before it is built."""
+    size = _flags(geometry) * ((2 * spec.depth + 2) * spec.nodes) ** dim
+    if size > MAX_QUADRATURE_NODES:
+        raise ValueError(
+            "the graded rule at depth %d, %d nodes per cell would take ~%.1e nodes on"
+            " %s; the limit is %.0e per level"
+            % (spec.depth, spec.nodes, size, where, MAX_QUADRATURE_NODES)
+        )
+
+
 def graded_rule(P: RationalPolytope, spec: GradedQuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (m, n) and weights (m,) of the boundary-graded rule on P.
 
@@ -290,13 +285,7 @@ def graded_rule(P: RationalPolytope, spec: GradedQuadratureSpec) -> tuple[np.nda
     MAX_QUADRATURE_NODES it raises ValueError naming the count.
     """
     geometry = _pyramids(P)
-    size = _flags(geometry) * ((2 * spec.depth + 2) * spec.nodes) ** P.dim
-    if size > MAX_QUADRATURE_NODES:
-        raise ValueError(
-            "the graded rule at depth %d, %d nodes per cell would take ~%.1e nodes on"
-            " this %d-dimensional polytope; the limit is %.0e per level"
-            % (spec.depth, spec.nodes, size, P.dim, MAX_QUADRATURE_NODES)
-        )
+    _check_size(geometry, spec, P.dim, "this %d-dimensional polytope" % P.dim)
     return _rule(geometry, spec, _interval_rule(0.0, 1.0, spec))
 
 
@@ -335,6 +324,37 @@ def graded_integral_array(
     fine = _weighted_sum(values, *graded_rule(P, spec.refined()))
     coarse = _weighted_sum(values, *graded_rule(P, spec))
     return fine, abs(fine - coarse)
+
+
+def graded_boundary_integral(
+    values: Callable[[np.ndarray], np.ndarray],
+    P: RationalPolytope,
+    spec: GradedQuadratureSpec | None = None,
+) -> tuple[float, float]:
+    """graded_integral_array over the boundary of P, in the canonical measure.
+
+    Each facet takes the rule of its chart image from graded_rule's pyramid
+    over it, mapped back by the unimodular chart. Returns the math.fsum of
+    the facet sums at ``spec.refined()`` and the sum of their distances from
+    the sums at ``spec``. In dimension one each endpoint has unit mass and
+    the error is 0.
+    """
+    if spec is None:
+        spec = GradedQuadratureSpec()
+    geometry = _pyramids(P)
+    if P.dim == 1:
+        return _weighted_sum(values, np.array(geometry)[:, None], np.ones(2)), 0.0
+    fine = spec.refined()
+    _check_size(geometry, fine, P.dim - 1, "the facets of this %d-dimensional polytope" % P.dim)
+    parts, error = [], 0.0
+    for *_, cols, shift, image in geometry:
+        fine_sum, coarse_sum = (
+            _weighted_sum(values, _unmap(y, cols, shift), w)
+            for y, w in (_rule(image, s, _interval_rule(0.0, 1.0, s)) for s in (fine, spec))
+        )
+        parts.append(fine_sum)
+        error += abs(fine_sum - coarse_sum)
+    return math.fsum(parts), error
 
 
 def graded_integral(

@@ -1,11 +1,14 @@
 """The recursive graded rule and the per-point potential, kept as references.
 
 ``kstab.quadrature.graded_rule`` builds the boundary-graded rule as one node
-array, and ``kstab.mabuchi`` evaluates potentials, scalar curvature and the
-energy's integrands on whole arrays of nodes. This module keeps the code they
-replaced: the rule as a recursion over facets that calls the integrand one
-point at a time, and the potential's value and derivatives as per-point sums
-over facets, so the tests can compare the two on random input.
+array, ``kstab.quadrature.graded_boundary_integral`` integrates over the
+boundary, and ``kstab.mabuchi`` evaluates potentials, scalar curvature and
+the energy's integrands on whole arrays of nodes. This module keeps the code
+they replaced: the rule as a recursion over facets that calls the integrand
+one point at a time, the boundary as a loop that charts each facet and
+integrates its chart image on its own, the potential's value and derivatives
+as per-point sums over facets, and the pairwise float sum they all used, so
+the tests can compare the two on random input.
 """
 from __future__ import annotations
 
@@ -15,8 +18,22 @@ import numpy as np
 
 from kstab.mabuchi import PotentialError
 from kstab.polytope import RationalPolytope, facet_chart
-from kstab.quadrature import GradedQuadratureSpec, pairwise_sum
+from kstab.quadrature import GradedQuadratureSpec, graded_integral_array
 from kstab.rootsystem import dh_weight, dh_weight_gradient_sum
+
+
+def pairwise_sum(values) -> float:
+    """Pairwise tree reduction: the same values in the same order give the same float."""
+    vals = list(values)
+    if not vals:
+        return 0.0
+    while len(vals) > 1:
+        nxt = [
+            vals[i] + vals[i + 1] if i + 1 < len(vals) else vals[i]
+            for i in range(0, len(vals), 2)
+        ]
+        vals = nxt
+    return vals[0]
 
 
 def evaluate_float(h, x) -> float:
@@ -90,6 +107,33 @@ def graded_integral(fn, P: RationalPolytope, spec: GradedQuadratureSpec) -> tupl
     coarse = graded_polytope(fn, P, spec)
     fine = graded_polytope(fn, P, spec.refined())
     return fine, abs(fine - coarse)
+
+
+# -- the boundary, one facet at a time ----------------------------------------------
+
+def boundary_by_facet(values, P: RationalPolytope, spec: GradedQuadratureSpec) -> list:
+    """(value, error) per facet of P for a batched integrand, in facet order.
+
+    Each facet is charted by facet_chart and its chart image integrated with
+    graded_integral_array, the integrand seeing the nodes mapped back onto
+    the facet. In dimension one each facet is an endpoint of unit mass.
+    The parts summed with pairwise_sum were the energy's boundary term.
+    """
+    if P.dim == 1:
+        ends = [np.array([[float(c) for c in P.facet_vertices(i)[0]]]) for i in range(len(P.facets))]
+        return [(float(np.broadcast_to(values(x), 1)[0]), 0.0) for x in ends]
+    parts = []
+    for i in range(len(P.facets)):
+        chart = facet_chart(P, i)
+        cols, shift = chart.unmap_affine_data()
+        cols = np.array([[float(x) for x in row] for row in cols])
+        shift = np.array([float(x) for x in shift])
+
+        def on_facet(y, cols=cols, shift=shift):
+            return values(shift + sum(y[:, c, None] * cols[:, c] for c in range(cols.shape[1])))
+
+        parts.append(graded_integral_array(on_facet, chart.image, spec))
+    return parts
 
 
 # -- the per-point potential ------------------------------------------------------

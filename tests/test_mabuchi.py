@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kstab.polytope import RationalPolytope
 from kstab.polynomial import MultivariatePolynomial as Poly
 from kstab.quadrature import GradedQuadratureSpec, graded_integral_array
 from kstab.rootsystem import dh_weight, dh_weight_gradient_sum
@@ -405,6 +406,17 @@ def test_callable_a_of_the_wrong_shape_is_refused(rs_a1, interval_12):
     with pytest.raises(ValueError, match="one value per node"):
         # written for one point: x[0] is the first node's row, shape (1,)
         mabuchi_eval(rs_a1, u, lambda x: 12 * x[0], FAST)
+
+
+def test_boundary_term_refuses_a_non_integer_polygon(rs_a1, rs_a2):
+    """A rational square is refused; a rational interval, whose boundary is two points, is not."""
+    square = RationalPolytope.from_vertices([[1, 1], ["3/2", 1], [1, 2], ["3/2", 2]])
+    with pytest.raises(ValueError) as refused:
+        mabuchi_eval(rs_a2, SymplecticPotential(square), "zero", FAST)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == "the boundary term needs an integer polytope"
+    interval = RationalPolytope.from_vertices([["1/2"], ["5/2"]])
+    assert math.isfinite(mabuchi_eval(rs_a1, SymplecticPotential(interval), "zero", FAST).value)
 
 
 @pytest.mark.parametrize("A", ["zero", "csc"])

@@ -7,26 +7,27 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kstab.polynomial import MultivariatePolynomial as Poly
-from kstab.polytope import PiecewiseAffine, RationalPolytope
+from kstab.polytope import GeometryError, PiecewiseAffine, RationalPolytope
 from kstab.quadrature import (
     MAX_QUADRATURE_NODES,
     GradedQuadratureSpec,
     QuadratureError,
     boundary_integral,
     boundary_integral_pl_poly,
+    graded_boundary_integral,
     graded_integral,
     graded_integral_array,
     graded_rule,
     integral_over_simplex,
     integral_pl_poly,
     integral_polytope,
-    pairwise_sum,
 )
 from conftest import slanted_facet_index
+from graded_reference import boundary_by_facet, pairwise_sum
 from expand_reference import simplex_monomial_integral
 from lemmas import facet_measure, transform
 
@@ -236,6 +237,8 @@ def test_graded_rule_sizes():
     del x, w
     with pytest.raises(ValueError, match=r"~4\.2e\+08 nodes"):
         graded_rule(cube, GradedQuadratureSpec())
+    with pytest.raises(ValueError, match=r"~2\.6e\+06 nodes on the facets of this 3-dim"):
+        graded_boundary_integral(lambda x: 1.0, cube)
 
 
 def test_graded_spec_validation():
@@ -245,6 +248,46 @@ def test_graded_spec_validation():
         GradedQuadratureSpec(ratio=Fraction(3, 2))
     with pytest.raises(ValueError):
         GradedQuadratureSpec(nodes=1)
+
+
+@st.composite
+def boundary_cases(draw):
+    """An integer polytope in dimension 1-3, an integer h of degree <= 3, a small spec."""
+    n = draw(st.integers(1, 3))
+    coord = st.integers(0, (4, 2, 1)[n - 1])
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 3))
+    try:
+        P = RationalPolytope.from_vertices(pts)
+    except GeometryError:
+        assume(False)
+    exp = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    coef = st.integers(-3, 3).filter(bool)
+    h = Poly(n, draw(st.dictionaries(exp, coef, min_size=1, max_size=4)))
+    return P, h, GradedQuadratureSpec(depth=draw(st.integers(1, 2)), nodes=draw(st.integers(2, 3)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(boundary_cases())
+def test_graded_boundary_integral_matches_per_facet_reference(case):
+    """Masked to one facet, the sum and error are the per-facet loop's, bit for bit.
+    The total differs from the loop's pairwise sum by rounding only. The rule at
+    spec.refined() is exact for these degrees, so the value lies within its
+    error estimate, up to rounding, of the exact boundary integral."""
+    P, h, spec = case
+    ref = boundary_by_facet(h.evaluate_float, P, spec)
+    for (v, c), expected in zip(P.facets, ref):
+        normal, offset = np.array([float(a) for a in v]), float(c)
+
+        def on_facet(x, normal=normal, offset=offset):
+            return np.where(np.abs(x @ normal - offset) <= 1e-9, h.evaluate_float(x), 0.0)
+
+        assert graded_boundary_integral(on_facet, P, spec) == expected
+    value, error = graded_boundary_integral(h.evaluate_float, P, spec)
+    parts = [v for v, _ in ref]
+    scale = math.fsum(abs(v) for v in parts)
+    assert error == sum(e for _, e in ref)
+    assert abs(value - pairwise_sum(parts)) <= len(parts) * 2**-52 * scale
+    assert abs(value - float(boundary_integral(h, P))) <= error + 1e-12 * (1 + scale)
 
 
 def test_pairwise_sum_deterministic():
