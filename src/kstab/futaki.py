@@ -30,7 +30,6 @@ from typing import Sequence
 
 from .polynomial import as_fraction, format_fraction
 from .polytope import (
-    GeometryError,
     PiecewiseAffine,
     RationalPolytope,
     check_walk,
@@ -84,8 +83,6 @@ def volume_w(rs: RootSystem, P: RationalPolytope) -> Fraction:
 def _volume_and_average(rs: RootSystem, P: RationalPolytope) -> tuple[Fraction, Fraction]:
     _require_match(rs, P)
     _require_positive_chamber(P)
-    if not P.is_integer:
-        raise GeometryError("the boundary term needs an integer polytope")
     p = dh_weight(rs)
     vol = integral_polytope(p, P)
     bulk = integral_polytope(dh_weight_gradient_sum(rs), P)

@@ -1,22 +1,21 @@
 """Two-term lattice-sum asymptotics: the generalized Pick verification harness.
 
-For a polynomial h of degree d on an integer polytope P the refined lattice
-sums
-
-    S_k = sum over P meet (1/k)Z^n of h
-
-carry the volume integral at order k^n and half the canonical boundary
-integral at order k^(n-1). E(k) = k^d S_k is a polynomial in k of degree
-n + d whose top two coefficients are int_P h and (1/2) int_dP h dsigma
-(weighted Ehrhart; Brion-Vergne, JAMS 10, 1997; Beck-Robins, *Computing the
-Continuous Discretely*, ch. 4). The fit walks k = 1, ..., n + d + 3 plus any
-dilations the caller adds, interpolates the first n + d + 1 samples exactly
-and holds out the rest; the check passes when every sample is reproduced and
-the top two coefficients equal the exact integrals. No float enters, and h
-must be a MultivariatePolynomial.
+For a polynomial h of degree d on a rational polytope P the refined lattice
+sums S_k = sum over P meet (1/k)Z^n of h carry int_P h at order k^n and half
+the canonical boundary integral at order k^(n-1). With m the lcm of P's
+vertex denominators, kP is an integer polytope for k in mZ, and there
+E(k) = k^d S_k is a polynomial of degree n + d whose top two coefficients
+are int_P h and (1/2) int_dP h dsigma (weighted Ehrhart; McMullen, Arch.
+Math. 31, 1978; Beck-Robins, *Computing the Continuous Discretely*, ch. 3-4).
+The fit walks k = m, 2m, ..., (n + d + 3)m plus any dilations in mZ the
+caller adds, interpolates the first n + d + 1 samples exactly and holds out
+the rest; the check passes when every sample is reproduced and the top two
+coefficients equal the exact integrals. No float enters, and h must be a
+MultivariatePolynomial.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -59,23 +58,26 @@ def pick_fit(
 ) -> AsymptoticFit:
     """Fit S_k ~ c_top k^n + c_next k^(n-1) and record residuals.
 
-    E(k) = k^d S_k is interpolated exactly through k = 1, ..., n + d + 1;
-    k = n + d + 2, n + d + 3 and the dilations in ``ks`` are held out. c_top
-    and c_next are the top two coefficients of E. Walks over more than
-    MAX_WALK_POINTS bounding-box lattice points are refused up front.
+    E(k) = k^d S_k is interpolated exactly through k = m, ..., (n + d + 1)m;
+    k = (n + d + 2)m, (n + d + 3)m and the dilations in ``ks``, which must lie
+    in mZ, are held out. c_top and c_next are the top two coefficients of E.
+    Walks over more than MAX_WALK_POINTS lattice points are refused up front.
     """
     if not isinstance(h, MultivariatePolynomial):
         raise TypeError("pick needs a MultivariatePolynomial h, got %s" % type(h).__name__)
-    if not P.is_integer:
-        raise ValueError("the asymptotic check needs an integer polytope")
+    m = math.lcm(*(x.denominator for v in P.vertices for x in v))
+    for k in ks or ():
+        if k % m:
+            raise ValueError("pick: dilation k=%d is not a multiple of m=%d, the lcm of the vertex"
+                             " denominators; the sums are polynomial only along k in mZ" % (k, m))
     n = P.dim
     d = max(h.degree(), 0)
     deg = n + d
-    ks = tuple(sorted(set(range(1, deg + 4)).union(int(k) for k in ks or ())))
+    ks = tuple(sorted(set(range(m, m * (deg + 3) + 1, m)).union(int(k) for k in ks or ())))
     check_walk(P, ks, "pick")
     sums = [pick_sum(P, h, k) for k in ks]
     poly = _fit_progression(
-        ks[: deg + 1], [k**d * s for k, s in zip(ks, sums[: deg + 1])], 1, deg, "pick"
+        ks[: deg + 1], [k**d * s for k, s in zip(ks, sums[: deg + 1])], m, deg, "pick"
     )
     c_top, c_next = poly[-1], poly[-2]
     return AsymptoticFit(

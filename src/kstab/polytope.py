@@ -333,9 +333,10 @@ class RationalPolytope:
 class FacetChart:
     """Unimodular affine chart flattening a facet onto {last coordinate = 0}.
 
-    The map is y = U x - c_F e_n with U in GL(n, Z), so for an integer
-    polytope it identifies the facet's lattice with Z^(n-1) and pushes the
-    canonical boundary measure to Lebesgue measure on the image polytope.
+    The map is y = U x - c_F e_n with U in GL(n, Z). It carries the lattice
+    of the hyperplane <v_F, x> = 0, which normalizes the canonical measure
+    on the facet, to Z^(n-1), so for any rational polytope it pushes that
+    measure to Lebesgue measure on the image polytope.
     """
 
     facet_index: int

@@ -99,8 +99,6 @@ def boundary_integral(h: MultivariatePolynomial, P: RationalPolytope) -> Fractio
     endpoint; in higher dimension each facet is flattened by its unimodular
     chart and integrated with ordinary Lebesgue measure.
     """
-    if not P.is_integer:
-        raise GeometryError("boundary integrals need an integer polytope")
     if h.nvars != P.dim:
         raise ValueError("polynomial/polytope dimension mismatch")
     if P.dim == 1:
@@ -135,8 +133,6 @@ def boundary_integral_pl_poly(
     share a primitive normal and offset, hence the canonical measure, with a
     facet of P; each is integrated against its cell's active piece.
     """
-    if not P.is_integer:
-        raise GeometryError("boundary integrals need an integer polytope")
     if P.dim == 1:
         return sum((f.value(v) * h.evaluate(v) for v in P.vertices), Fraction(0))
     on_boundary = set(P.facets)

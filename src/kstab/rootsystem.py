@@ -255,11 +255,10 @@ def build_classical(series: str, rank: int) -> RootSystem:
 
 @lru_cache(maxsize=None)
 def dh_weight(rs: RootSystem) -> MultivariatePolynomial:
-    """Duistermaat-Heckman density p(x) = prod_a (M^a . x), expanded."""
-    p = MultivariatePolynomial.constant(rs.rank, 1)
-    for m in rs.positive_roots:
-        p = p * MultivariatePolynomial.affine([Fraction(x) for x in m], 0)
-    return p
+    """Duistermaat-Heckman density p(x) = prod_a (M^a . x): the monomial
+    y_1 ... y_N pulled back along y_a = M^a . x by the integer kernel."""
+    N = rs.num_positive_roots
+    return MultivariatePolynomial(N, {(1,) * N: 1}).substitute_affine(rs.positive_roots, [0] * N)
 
 
 @lru_cache(maxsize=None)

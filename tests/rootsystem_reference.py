@@ -10,7 +10,13 @@ with no Cartan matrix and no closure.
 ``reference_weyl_eval`` is the package's former ``weyl_eval``: it
 recomputes every height |M^a| and pairs every entry of M^a, zeros
 included, with lambda at each call.
+
+``reference_dh_weight`` is the package's former ``dh_weight``: it expands
+p = prod_a (M^a . x) by N successive products of Fraction polynomials.
 """
+from fractions import Fraction
+
+from kstab.polynomial import MultivariatePolynomial
 
 
 def _runs(n: int) -> list[tuple[int, ...]]:
@@ -99,3 +105,11 @@ def reference_weyl_eval(rs, lam) -> int:
     for m in rs.positive_roots:
         total *= sum(m) + sum(a * b for a, b in zip(m, lam))
     return total
+
+
+def reference_dh_weight(rs) -> MultivariatePolynomial:
+    """p(x) = prod_a (M^a . x), one linear factor multiplied in at a time."""
+    p = MultivariatePolynomial.constant(rs.rank, 1)
+    for m in rs.positive_roots:
+        p = p * MultivariatePolynomial.affine([Fraction(x) for x in m], 0)
+    return p

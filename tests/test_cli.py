@@ -396,6 +396,12 @@ def _exit_code(argv) -> int:
         ),
         pytest.param(HUGE_SPEC, ["mabuchi"], "polytope: a facet", id="huge-mabuchi"),
         pytest.param(HUGE_SPEC, ["pick"], "pick would walk ~", id="huge-pick"),
+        pytest.param(
+            dict(SU3_SPEC, polytope={"vertices": [["1/2", "1"], ["2", "1"], ["1/2", "2"], ["2", "2"]]}),
+            ["pick", "--kset", "3"],
+            "dilation k=3 is not a multiple of m=2",
+            id="pick-kset-off-modulus",
+        ),
     ],
 )
 def test_malformed_spec_exits_2(spec, argv, message, tmp_path, monkeypatch, capsys):
@@ -489,6 +495,22 @@ def test_shipped_pick_reports_match_golden(name, tmp_path):
     spec = str(REPO / "specs" / ("%s.json" % name))
     assert main(["pick", "--spec", spec, "--no-meta", "--out", str(out)]) == 0
     assert out.read_bytes() == _golden("pick_%s.json" % name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        pytest.param(["futaki", "--oracle"], "futaki_oracle_b2_box.json", id="futaki-oracle"),
+        pytest.param(["pick"], "pick_b2_box.json", id="pick"),
+    ],
+)
+def test_rational_reports_match_golden(argv, golden, tmp_path):
+    """The rational B2 box [1/2, 2] x [1, 2]: the oracle samples k = 2, 4, ...
+    and agrees with the closed form, and pick passes, byte for byte."""
+    out = tmp_path / "report.json"
+    spec = str(REPO / "specs" / "rational" / "b2_box.json")
+    assert main(argv + ["--spec", spec, "--no-meta", "--out", str(out)]) == 0
+    assert out.read_bytes() == _golden("rational/" + golden).read_bytes()
 
 
 def test_pick_command(su2_spec, tmp_path):

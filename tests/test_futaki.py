@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from kstab.pick import pick_check
+from kstab.polynomial import MultivariatePolynomial as Poly
 from kstab.polytope import GeometryError, PiecewiseAffine, RationalPolytope
 from kstab.quadrature import boundary_integral, integral_polytope, integral_pl_poly, boundary_integral_pl_poly
 from kstab.rootsystem import QN1_PFG_RATIO, build_classical, dh_weight, dh_weight_gradient_sum
@@ -308,6 +310,58 @@ def test_wk_via_lift_agrees_on_random_lattice_polytopes(case):
     m = admissible_modulus(f, P)
     for k in (m, 2 * m):
         assert wk_via_lift(rs, P, f, R, k) == weighted_weight_wk(rs, P, f, R, k)
+
+
+@st.composite
+def rational_cases(draw):
+    """A rational polytope in the open positive chamber (vertex coordinates in
+    [1/3, 2], denominators <= 3), a convex PL f of 1-2 pieces with gradients
+    in {-1, 0, 1} and offsets of denominator <= 3, admissible modulus <= 6,
+    a root system of the polytope's dimension and an integer h of degree
+    <= 2."""
+    n = draw(st.integers(1, 2))
+    coord = st.fractions(min_value=Fraction(1, 3), max_value=2, max_denominator=3)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 2, unique=True))
+    try:
+        P = RationalPolytope.from_vertices(pts)
+    except GeometryError:
+        assume(False)
+    offset = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    piece = st.tuples(st.tuples(*[st.integers(-1, 1)] * n), offset)
+    f = PiecewiseAffine.from_pieces(draw(st.lists(piece, min_size=1, max_size=2)))
+    assume(admissible_modulus(f, P) <= 6)
+    rs = build_classical(*draw(st.sampled_from(CROSS_CHECK_SYSTEMS[n])))
+    exp = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 2)
+    h = Poly(n, draw(st.dictionaries(exp, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)))
+    return rs, P, f, h
+
+
+@settings(max_examples=20, deadline=None)
+@given(rational_cases(), st.integers(0, 4))
+def test_routes_and_pick_agree_on_random_rational_polytopes(case, R):
+    """Both exact routes give the same F1, Vol_W and a on rational P, sampling
+    along the admissible modulus, and pick's fit along P's vertex modulus
+    reproduces int_P h and half the canonical boundary integral."""
+    rs, P, f, h = case
+    report = futaki_cross_check(rs, P, f, R)
+    assert report.agreement is True
+    assert pick_check(P, h)[0] is True
+
+
+def test_routes_and_pick_agree_on_a_rational_a3_simplex():
+    """A simplex with vertex denominators 2 and a kink at x_1 = x_2 + 1/2:
+    the oracle samples k = 2, 4, ..., 24 and pick k = 2, 4, ..., 14."""
+    half = Fraction(1, 2)
+    P = RationalPolytope.from_vertices(
+        [(half, half, half), (2, half, half), (half, 2, half), (half, half, 2)]
+    )
+    f = PiecewiseAffine.from_pieces([((1, 0, 0), 0), ((0, 1, 0), half)])
+    report = futaki_cross_check(build_classical("A", 3), P, f, 3)
+    assert report.agreement is True
+    assert report.oracle_details.ks == tuple(range(2, 25, 2))
+    passed, fit = pick_check(P, Poly.variable(3, 0) + Poly.variable(3, 2))
+    assert passed is True
+    assert fit.ks == tuple(range(2, 15, 2))
 
 
 @pytest.mark.parametrize("field", ["vol_W", "a"])

@@ -171,10 +171,17 @@ def test_pick_reciprocity_on_unit_square(unit_square):
     assert interior_sum(unit_square, h, 2) == Fraction(1, 2)
 
 
-def test_pick_exact_path_refuses_non_integer_polytope():
+def test_pick_samples_a_rational_interval_along_its_modulus():
+    """[0, 1/2] has vertex denominator lcm m = 2: the walk samples k = 2, 4,
+    ..., the exact check passes, and a dilation outside 2Z is refused."""
     P = RationalPolytope.from_vertices([[0], [Fraction(1, 2)]])
-    with pytest.raises(ValueError, match="integer polytope"):
-        pick_fit(P, Poly.variable(1, 0))
+    x = Poly.variable(1, 0)
+    passed, fit = pick_check(P, x * x, ks=(16,))
+    assert passed is True
+    assert fit.ks == (2, 4, 6, 8, 10, 12, 16)
+    assert fit.c_top == Fraction(1, 24) and fit.c_next == Fraction(1, 8)
+    with pytest.raises(ValueError, match="k=3 is not a multiple of m=2"):
+        pick_fit(P, x, ks=(3,))
 
 
 def test_pick_exact_path_reads_no_ratio_bound(unit_square):

@@ -22,7 +22,7 @@ from kstab.rootsystem import (
     weyl_eval,
 )
 from lemmas import f_g_fraction, homogeneous_parts, weyl_polynomial
-from rootsystem_reference import reference_positive_roots, reference_weyl_eval
+from rootsystem_reference import reference_dh_weight, reference_positive_roots, reference_weyl_eval
 
 BUILTINS = [
     ("A", 1),
@@ -194,6 +194,18 @@ def test_dh_weight_matches_top_part():
         qN, qN1, _ = homogeneous_parts(q, rs.num_positive_roots)
         assert dh_weight(rs) == qN
         assert dh_weight_gradient_sum(rs) == qN1
+
+
+@pytest.mark.parametrize(
+    "series, rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
+     ("C", 3), ("D", 4), ("G2", 2), ("F4", 4)],
+)
+def test_dh_weight_pullback_matches_product_expansion(series, rank):
+    """The monomial y_1 ... y_N pulled back by the coroot matrix is the
+    product of the N linear forms, expanded one factor at a time."""
+    rs = build_classical(series, rank)
+    assert dh_weight(rs) == reference_dh_weight(rs)
 
 
 def test_f_g_identities():
