@@ -107,13 +107,6 @@ def _node_count(text: str) -> int:
     return value
 
 
-def _grading_ratio(text: str) -> Fraction:
-    value = _rational(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError("grading ratio must lie in (0, 1), got %s" % text)
-    return value
-
-
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
@@ -141,7 +134,6 @@ def _dilations(text: str) -> tuple[int, ...]:
 def _quad_spec(args) -> GradedQuadratureSpec:
     return GradedQuadratureSpec(
         depth=args.quad_depth,
-        ratio=args.quad_ratio,
         nodes=args.quad_nodes,
         tol=args.tol,
     )
@@ -277,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-meta", action="store_true", help="omit the timestamp")
         if quad:
             p.add_argument("--quad-depth", type=_positive_int, default=12)
-            p.add_argument("--quad-ratio", type=_grading_ratio, default="1/2")
             p.add_argument("--quad-nodes", type=_node_count, default=10)
             p.add_argument("--tol", type=_tolerance, default=1e-6)
 

@@ -360,8 +360,6 @@ def mabuchi_eval(
         spec = GradedQuadratureSpec()
     p = _weight_data(rs)[0]
     A_fn = _resolve_a(rs, P, A)
-    if P.dim > 1 and not P.is_integer:
-        raise ValueError("the boundary term needs an integer polytope")
 
     def log_det_term(x):
         L = _cholesky(u.hessian(x), x)

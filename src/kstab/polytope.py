@@ -16,8 +16,9 @@ line in the cone, so boundedness falls out of the same enumeration. Each
 constructor runs the kernel once: the rays give the other representation,
 and their bitmasks of tight rows give the vertex-facet incidence, which
 picks out the vertices among the points and the facets among the
-halfspaces. Triangulations and facet vertices read that incidence and
-evaluate no support values.
+halfspaces. Facet vertices, and the facets of a face (``_face_facets``)
+behind triangulations and the graded rule's flags of faces, are read off
+that incidence with no support value evaluated.
 
 Facet geometry follows the lattice normalization: each facet carries the
 primitive integer inward normal v_F, the affine form l_F(x) = <v_F, x> - c_F
@@ -555,15 +556,21 @@ def pl_cells(P: RationalPolytope, f: PiecewiseAffine) -> list[tuple[int, Rationa
 # triangulation
 # ---------------------------------------------------------------------------
 
+def _face_facets(P: RationalPolytope, face: frozenset) -> list[frozenset]:
+    """The facets of a face of P, given as a set of vertex indices: its
+    inclusion-maximal proper intersections with P's facets (Ziegler, GTM 152,
+    2.1), read off the vertex-facet incidence in facet order.
+    """
+    subs = [s for s in dict.fromkeys(face & f for f in P.incidence) if s != face]
+    return [s for s in subs if not any(s < other for other in subs)]
+
+
 def triangulate(P: RationalPolytope) -> list[list[Point]]:
     """Exact pulling triangulation (De Loera-Rambau-Santos 2010, 4.3).
 
-    Each face is coned from its least vertex over its facets that miss it,
-    read off P's vertex-facet incidence: the facets of a face are its
-    inclusion-maximal proper intersections with P's facets (Ziegler, GTM 152,
-    2.1). Every nonempty proper face that misses the apex lies in a facet
-    that misses it, so the maximal intersections missing the apex are those
-    facets. No chart, hull or support value is computed.
+    Each face is coned from its least vertex over its facets that miss it
+    (``_face_facets``); every proper face that misses the apex lies in one of
+    them. No chart, hull or support value is computed.
     """
     n, verts = P.dim, P.vertices
     if len(verts) == n + 1:
@@ -573,11 +580,8 @@ def triangulate(P: RationalPolytope) -> list[list[Point]]:
         if len(face) == d + 1:
             return [tuple(sorted(face))]
         apex = min(face)
-        subs = {face & s for s in P.incidence if apex not in s}
-        out = []
-        for sub in subs:
-            if not any(sub < other for other in subs):
-                out += [(apex,) + t for t in cone(sub, d - 1)]
-        return out
+        return [
+            (apex,) + t for sub in _face_facets(P, face) if apex not in sub for t in cone(sub, d - 1)
+        ]
 
     return [[verts[j] for j in t] for t in cone(frozenset(range(len(verts))), n)]

@@ -11,25 +11,28 @@ stays rational; with a piecewise affine factor f they chart the facets of
 f's ambient ``pl_cells`` that lie in the boundary.
 
 For integrands with logarithmic boundary singularities a graded composite
-Gauss rule is provided: the polytope is sliced into pyramids over its facets
-from the centroid, the radial direction is graded geometrically toward the
-boundary, and each facet carries the rule of its chart image one dimension
-down. ``graded_rule`` flattens this into one node array (m, n) and one weight
-vector; ``graded_integral_array`` evaluates an integrand on the nodes in
-chunks of CHUNK_NODES rows and sums the weighted values with math.fsum.
+Gauss rule is provided. P is the union of the simplices of its complete
+flags of faces P = F_n > ... > F_1, read off the vertex-facet incidence,
+each the image of [0, 1]^n under a collapsed-coordinate map (Duffy 1982):
+the first coordinate runs from P's centroid to a facet, the last along an
+edge. The 1D rule, composite Gauss on cuts halving toward 0 and 1, is raised
+to its n-th tensor power once per level and pushed through every flag's map,
+so the radial direction is graded toward the boundary; no facet is charted
+and no hull is built. ``graded_rule`` returns the nodes (m, n) and weights;
+``graded_integral_array`` evaluates an integrand on the nodes in chunks of
+CHUNK_NODES rows and sums the weighted values with math.fsum.
 ``graded_boundary_integral`` integrates over the boundary in the canonical
-measure: each facet takes the rule of its chart image from the same
-pyramids, and the facet sums are added with math.fsum, the only float sum
-here. A rule's size is known from the face flags before anything is
-allocated, and more than MAX_QUADRATURE_NODES nodes per level are refused
-with ValueError.
+measure: each facet takes the same construction on its own flags, and the
+facet sums are added with math.fsum, the only float sum here. A rule's size
+is known from the flags before anything is allocated, and more than
+MAX_QUADRATURE_NODES nodes per level are refused with ValueError.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +43,7 @@ from .polytope import (
     PiecewiseAffine,
     RationalPolytope,
     _det,
+    _face_facets,
     facet_chart,
     pl_cells,
     triangulate,
@@ -154,16 +158,12 @@ class GradedQuadratureSpec:
     """Parameters of the boundary-graded composite Gauss rule."""
 
     depth: int = 12
-    ratio: Fraction = Fraction(1, 2)
     nodes: int = 10
     tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        r = as_fraction(self.ratio)
-        if not 0 < r < 1:
-            raise ValueError("grading ratio must lie in (0, 1)")
         if self.nodes < 2:
             raise ValueError("need at least two nodes per cell")
         if not self.tol >= 0:  # NaN fails too
@@ -191,76 +191,73 @@ def _gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ws
 
 
-def _interval_rule(
-    a: float, b: float, spec: GradedQuadratureSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss on [a, b], graded geometrically toward both endpoints."""
+def _interval_rule(spec: GradedQuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss on [0, 1], its cuts halving toward both endpoints."""
     xs, ws = _gauss_rule(spec.nodes)
-    r = float(spec.ratio)
-    mid = 0.5 * (a + b)
-    cuts = np.array(
-        [a]
-        + [a + (mid - a) * r**j for j in range(spec.depth, 0, -1)]
-        + [mid]
-        + [b - (b - a) * 0.5 * r**j for j in range(1, spec.depth + 1)]
-        + [b]
-    )
+    halves = [0.5**j for j in range(spec.depth + 1, 1, -1)]
+    cuts = np.array([0.0] + halves + [0.5] + [1.0 - h for h in reversed(halves)] + [1.0])
     lo, hi = cuts[:-1], cuts[1:]
     keep = hi > lo
     half, center = 0.5 * (hi - lo)[keep], 0.5 * (hi + lo)[keep]
     return (center[:, None] + half[:, None] * xs).ravel(), (half[:, None] * ws).ravel()
 
 
-def _unmap(y: np.ndarray, cols: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """x = shift + cols y for every row y of an (m, n - 1) array of chart coordinates."""
-    return shift + sum(y[:, c, None] * cols[:, c] for c in range(cols.shape[1]))
+def _cube_rule(spec: GradedQuadratureSpec, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The interval rule's d-th tensor power in collapsed coordinates.
 
-
-def _pyramids(P: RationalPolytope):
-    """The geometry of P's graded rule, in floats.
-
-    An interval is its endpoints (a, b). A polytope of dimension >= 2 is a
-    list with one entry per facet F: l_F(centroid), the centroid, the facet
-    chart's unmap columns and shift, and the geometry of the chart image.
+    Row i holds the partial products u_1, u_1 u_2, ..., u_1...u_d of node i
+    (u_1 varies slowest) and its weight prod_k w_k u_k^(d-k), the Jacobian
+    of the collapsed-coordinate map (Duffy, SIAM J. Numer. Anal. 19, 1982)
+    without the simplex's determinant.
     """
-    if P.dim == 1:
-        ends = sorted(float(v[0]) for v in P.vertices)
-        return ends[0], ends[-1]
-    c = P.centroid()
-    centroid = np.array([float(x) for x in c])
-    out = []
-    for i in range(len(P.facets)):
-        chart = facet_chart(P, i)
-        cols, shift = (np.array(a, dtype=float) for a in chart.unmap_affine_data())
-        out.append((float(P.support_value(i, c)), centroid, cols, shift, _pyramids(chart.image)))
-    return out
+    t, w = _interval_rule(spec)
+    u = t[np.indices((len(t),) * d).reshape(d, -1).T]
+    weights = reduce(np.multiply.outer, [w * t ** (d - 1 - k) for k in range(d)]).ravel()
+    return np.cumprod(u, axis=1), weights
 
 
-def _flags(geometry) -> int:
-    """Complete flags of faces: the tensor-product blocks of the rule."""
-    if isinstance(geometry, tuple):
-        return 1
-    return sum(_flags(image) for *_, image in geometry)
+def _flags(P: RationalPolytope, face: frozenset, d: int) -> list[list[frozenset]]:
+    """Complete flags face = F_d > ... > F_1 of faces of P down to an edge,
+    each face a set of vertex indices: the tensor-product blocks of the rule."""
+    if d == 1:
+        return [[face]]
+    return [[face] + tail for sub in _face_facets(P, face) for tail in _flags(P, sub, d - 1)]
 
 
-def _rule(geometry, spec: GradedQuadratureSpec, radial) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(geometry, tuple):
-        x, w = _interval_rule(*geometry, spec)
-        return x[:, None], w
-    s, ws = radial
-    nodes, weights = [], []
-    for height, centroid, cols, shift, image in geometry:
-        y, wy = _rule(image, spec, radial)
-        x = _unmap(y, cols, shift)
-        n = x.shape[1]
-        nodes.append((centroid + s[:, None, None] * (x - centroid)).reshape(-1, n))
-        weights.append((height * (ws * s ** (n - 1))[:, None] * wy).ravel())
-    return np.concatenate(nodes), np.concatenate(weights)
+def _flag_rule(P: RationalPolytope, flags, cube, normal=None) -> tuple[np.ndarray, np.ndarray]:
+    """The collapsed-coordinate rule on each flag's simplex, concatenated.
+
+    A flag F_d > ... > F_1 spans the simplex q_0 ... q_d: the centroids of
+    F_d ... F_2, then the ends of the edge F_1. The node of ``cube`` with
+    partial products u_1...u_k maps to q_0 + sum_k (u_1...u_k)(q_k - q_(k-1)),
+    its weight scaled by |det D| for the rows D_k = q_k - q_(k-1), computed
+    exactly and rounded once. A facet with primitive normal v_F (d = n - 1)
+    takes the canonical measure |det [D; v_F]| / |v_F|^2 instead.
+    """
+    partial, w = cube
+    centroids = {face: _centroid(P, face) for face in {f for flag in flags for f in flag[:-1]}}
+    origins, rows, scales = [], [], []
+    for flag in flags:
+        q = [centroids[face] for face in flag[:-1]] + [P.vertices[j] for j in sorted(flag[-1])]
+        D = [[b - a for a, b in zip(q0, q1)] for q0, q1 in zip(q, q[1:])]
+        if normal is None:
+            scales.append(float(abs(_det(D))))
+        else:
+            scales.append(float(abs(_det(D + [normal])) / sum(a * a for a in normal)))
+        origins.append(q[0])
+        rows.append(D)
+    x = partial @ np.array(rows, dtype=float)
+    x += np.array(origins, dtype=float)[:, None, :]
+    return x.reshape(-1, P.dim), (np.array(scales)[:, None] * w).ravel()
 
 
-def _check_size(geometry, spec: GradedQuadratureSpec, dim: int, where: str) -> None:
+def _centroid(P: RationalPolytope, face: frozenset) -> tuple:
+    return tuple(sum(c) / len(face) for c in zip(*(P.vertices[j] for j in face)))
+
+
+def _check_size(flags: int, spec: GradedQuadratureSpec, dim: int, where: str) -> None:
     """Refuse a rule of more than MAX_QUADRATURE_NODES nodes before it is built."""
-    size = _flags(geometry) * ((2 * spec.depth + 2) * spec.nodes) ** dim
+    size = flags * ((2 * spec.depth + 2) * spec.nodes) ** dim
     if size > MAX_QUADRATURE_NODES:
         raise ValueError(
             "the graded rule at depth %d, %d nodes per cell would take ~%.1e nodes on"
@@ -272,17 +269,19 @@ def _check_size(geometry, spec: GradedQuadratureSpec, dim: int, where: str) -> N
 def graded_rule(P: RationalPolytope, spec: GradedQuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (m, n) and weights (m,) of the boundary-graded rule on P.
 
-    In dimension one the rule is composite Gauss on the graded cuts. Above,
-    P is the union of the pyramids from its centroid c over its facets F;
-    each facet's rule, built on its chart image and mapped back, is
-    multiplied with the 1D rule in the radial parameter s in [0, 1]: node
-    c + s (x - c), weight l_F(c) w_s s^(n-1) w_y. The node count is known
-    from the face flags before any array is built; above
-    MAX_QUADRATURE_NODES it raises ValueError naming the count.
+    P is the union of the simplices of its complete flags of faces P = F_n >
+    ... > F_1 (see _flag_rule), each the image of [0, 1]^n under its
+    collapsed-coordinate map. The 1D rule, composite Gauss on cuts halving
+    toward 0 and 1, is raised to its n-th tensor power once and pushed
+    through every flag's map: in the first coordinate it grades each
+    pyramid over a facet from the centroid, in the last each edge toward its
+    ends. The node count, #flags ((2 depth + 2) nodes)^n, is known from the
+    incidence before any array is built; above MAX_QUADRATURE_NODES it
+    raises ValueError naming the count.
     """
-    geometry = _pyramids(P)
-    _check_size(geometry, spec, P.dim, "this %d-dimensional polytope" % P.dim)
-    return _rule(geometry, spec, _interval_rule(0.0, 1.0, spec))
+    flags = _flags(P, frozenset(range(len(P.vertices))), P.dim)
+    _check_size(len(flags), spec, P.dim, "this %d-dimensional polytope" % P.dim)
+    return _flag_rule(P, flags, _cube_rule(spec, P.dim))
 
 
 def _weighted_sum(values: Callable, x: np.ndarray, w: np.ndarray) -> float:
@@ -329,24 +328,25 @@ def graded_boundary_integral(
 ) -> tuple[float, float]:
     """graded_integral_array over the boundary of P, in the canonical measure.
 
-    Each facet takes the rule of its chart image from graded_rule's pyramid
-    over it, mapped back by the unimodular chart. Returns the math.fsum of
-    the facet sums at ``spec.refined()`` and the sum of their distances from
-    the sums at ``spec``. In dimension one each endpoint has unit mass and
-    the error is 0.
+    Each facet takes graded_rule's construction one dimension down, on its
+    own flags of faces, with the canonical facet measure. Returns the
+    math.fsum of the facet sums at ``spec.refined()`` and the sum of their
+    distances from the sums at ``spec``. In dimension one each endpoint has
+    unit mass and the error is 0.
     """
     if spec is None:
         spec = GradedQuadratureSpec()
-    geometry = _pyramids(P)
-    if P.dim == 1:
-        return _weighted_sum(values, np.array(geometry)[:, None], np.ones(2)), 0.0
+    n = P.dim
+    if n == 1:
+        return _weighted_sum(values, np.array([[float(v[0])] for v in P.vertices]), np.ones(2)), 0.0
+    flags = [_flags(P, face, n - 1) for face in P.incidence]
     fine = spec.refined()
-    _check_size(geometry, fine, P.dim - 1, "the facets of this %d-dimensional polytope" % P.dim)
+    _check_size(sum(map(len, flags)), fine, n - 1, "the facets of this %d-dimensional polytope" % n)
+    cubes = [_cube_rule(s, n - 1) for s in (fine, spec)]
     parts, error = [], 0.0
-    for *_, cols, shift, image in geometry:
+    for (normal, _), facet_flags in zip(P.facets, flags):
         fine_sum, coarse_sum = (
-            _weighted_sum(values, _unmap(y, cols, shift), w)
-            for y, w in (_rule(image, s, _interval_rule(0.0, 1.0, s)) for s in (fine, spec))
+            _weighted_sum(values, *_flag_rule(P, facet_flags, cube, normal)) for cube in cubes
         )
         parts.append(fine_sum)
         error += abs(fine_sum - coarse_sum)

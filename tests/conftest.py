@@ -1,8 +1,20 @@
-"""Shared geometry and root-system fixtures for the test suite."""
+"""Shared geometry and root-system fixtures and hypothesis profiles for the test suite.
+
+Two hypothesis profiles: ``tier1``, the default, draws the same examples on
+every run (derandomize) and prints a failure's reproduction blob;
+``explore`` draws from random seeds (``pytest --hypothesis-profile=explore``,
+with ``--hypothesis-seed=N`` to repeat a run). Each test keeps its own
+``max_examples``.
+"""
 import pytest
+from hypothesis import settings
 
 from kstab.polytope import PiecewiseAffine, RationalPolytope
 from kstab.rootsystem import build_classical
+
+settings.register_profile("tier1", derandomize=True, print_blob=True)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

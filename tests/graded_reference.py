@@ -1,18 +1,19 @@
 """The recursive graded rule and the per-point potential, kept as references.
 
 ``kstab.quadrature.graded_rule`` builds the boundary-graded rule as one node
-array, ``kstab.quadrature.graded_boundary_integral`` integrates over the
-boundary, and ``kstab.mabuchi`` evaluates potentials, scalar curvature and
-the energy's integrands on whole arrays of nodes. This module keeps the code
-they replaced: the rule as a recursion over facets that calls the integrand
-one point at a time, the boundary as a loop that charts each facet and
-integrates its chart image on its own, the potential's value and derivatives
+array from flags of faces, ``kstab.quadrature.graded_boundary_integral``
+integrates over the boundary, and ``kstab.mabuchi`` evaluates potentials,
+scalar curvature and the energy's integrands on whole arrays of nodes. This
+module keeps the code they replaced: the rule as a recursion over facet
+charts that calls the integrand one point at a time, the boundary as a loop
+that charts each facet and integrates its chart image on its own, the potential's value and derivatives
 as per-point sums over facets, and the pairwise float sum they all used, so
 the tests can compare the two on random input.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -49,58 +50,72 @@ def evaluate_float(h, x) -> float:
 
 
 # -- the recursive graded rule --------------------------------------------------
+#
+# The recursion maps nodes through facet charts whose integer matrices may have
+# large entries; rounding in them cost up to 1.6e-12 of the value, even in long
+# double. So nodes and weights below the outermost level are exact rationals,
+# from the same float Gauss nodes and weights, and fn sees each node rounded.
 
-def graded_interval(fn, a: float, b: float, spec: GradedQuadratureSpec) -> float:
-    """Composite Gauss on a mesh graded geometrically toward both endpoints."""
-    xs, ws = (v.tolist() for v in np.polynomial.legendre.leggauss(spec.nodes))
-    r = float(spec.ratio)
-    mid = 0.5 * (a + b)
-    cuts = [a]
-    for j in range(spec.depth, 0, -1):
-        cuts.append(a + (mid - a) * r**j)
-    cuts.append(mid)
-    for j in range(1, spec.depth + 1):
-        cuts.append(b - (b - a) * 0.5 * r**j)
-    cuts.append(b)
-    pieces = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi <= lo:
-            continue
-        half = 0.5 * (hi - lo)
-        center = 0.5 * (hi + lo)
-        pieces.append(
-            half * pairwise_sum([w * fn(center + half * x) for x, w in zip(xs, ws)])
-        )
-    return pairwise_sum(pieces)
+def graded_interval(a: Fraction, b: Fraction, spec: GradedQuadratureSpec) -> list:
+    """(node, weight) pairs of composite Gauss on cuts halving toward a and b."""
+    xs, ws = ([Fraction(t) for t in v.tolist()] for v in np.polynomial.legendre.leggauss(spec.nodes))
+    mid = (a + b) / 2
+    cuts = [a] + [a + (mid - a) / 2**j for j in range(spec.depth, 0, -1)] + [mid]
+    cuts += [b - (b - a) / 2 ** (j + 1) for j in range(1, spec.depth + 1)] + [b]
+    return [
+        ((hi + lo) / 2 + (hi - lo) / 2 * x, (hi - lo) / 2 * w)
+        for lo, hi in zip(cuts, cuts[1:])
+        for x, w in zip(xs, ws)
+    ]
 
 
-def graded_polytope(fn, P: RationalPolytope, spec: GradedQuadratureSpec) -> float:
-    """Pyramids over the facets from the centroid, recursing one dimension down."""
-    n = P.dim
-    if n == 1:
-        ends = sorted(float(v[0]) for v in P.vertices)
-        return graded_interval(lambda t: fn((t,)), ends[0], ends[-1], spec)
-    centroid = tuple(float(x) for x in P.centroid())
-    contributions = []
+def _facet_rules(P: RationalPolytope, spec: GradedQuadratureSpec):
+    """Per facet F of P, dimension >= 2: l_F(c) at the centroid c, and the
+    pairs (x - c, weight) of F's rule, built on its chart image one dimension
+    down and mapped back, exactly."""
+    c = P.centroid()
     for i in range(len(P.facets)):
         chart = facet_chart(P, i)
         cols, shift = chart.unmap_affine_data()
-        fcols = [[float(x) for x in row] for row in cols]
-        fshift = [float(x) for x in shift]
-        height = float(P.support_value(i, P.centroid()))
+        yield P.support_value(i, c), [
+            ([sh + sum(a * t for a, t in zip(row, y)) - ci for row, sh, ci in zip(cols, shift, c)], w)
+            for y, w in graded_nodes(chart.image, spec)
+        ]
 
-        def radial(s, fcols=fcols, fshift=fshift, chart=chart):
-            def on_facet(y):
-                x = [
-                    fshift[r] + sum(fcols[r][c] * y[c] for c in range(n - 1))
-                    for r in range(n)
-                ]
-                return fn(tuple(centroid[r] + s * (x[r] - centroid[r]) for r in range(n)))
 
-            return s ** (n - 1) * graded_polytope(on_facet, chart.image, spec)
+def graded_nodes(P: RationalPolytope, spec: GradedQuadratureSpec) -> list:
+    """Exact (node, weight) pairs of the rule: pyramids over the facets from
+    the centroid c, node c + s (x - c), weight l_F(c) w_s s^(n-1) w_x."""
+    n = P.dim
+    if n == 1:
+        a, b = sorted(v[0] for v in P.vertices)
+        return [((x,), w) for x, w in graded_interval(a, b, spec)]
+    c = P.centroid()
+    return [
+        (tuple(ci + s * d for ci, d in zip(c, x)), height * ws * s ** (n - 1) * w)
+        for height, facet in _facet_rules(P, spec)
+        for s, ws in graded_interval(Fraction(0), Fraction(1), spec)
+        for x, w in facet
+    ]
 
-        contributions.append(height * graded_interval(radial, 0.0, 1.0, spec))
-    return pairwise_sum(contributions)
+
+def graded_polytope(fn, P: RationalPolytope, spec: GradedQuadratureSpec) -> float:
+    """The recursive rule applied to fn, one point at a time. The outermost
+    radial map c + s (x - c), which takes no chart, runs in floats."""
+    n = P.dim
+    if n == 1:
+        return math.fsum(float(w) * fn((float(x),)) for (x,), w in graded_nodes(P, spec))
+    c = [float(t) for t in P.centroid()]
+    radial = [(float(s), float(ws)) for s, ws in graded_interval(Fraction(0), Fraction(1), spec)]
+    parts = []
+    for height, facet in _facet_rules(P, spec):
+        facet = [([float(d) for d in x], float(height * w)) for x, w in facet]
+        parts += [
+            ws * s ** (n - 1) * w * fn(tuple(ci + s * d for ci, d in zip(c, x)))
+            for s, ws in radial
+            for x, w in facet
+        ]
+    return math.fsum(parts)
 
 
 def graded_integral(fn, P: RationalPolytope, spec: GradedQuadratureSpec) -> tuple[float, float]:

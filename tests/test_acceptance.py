@@ -47,7 +47,7 @@ from lemmas import (
     wk_via_lift,
 )
 
-QUAD = GradedQuadratureSpec(depth=12, ratio=Fraction(1, 2), nodes=10, tol=1e-6)
+QUAD = GradedQuadratureSpec(depth=12, nodes=10, tol=1e-6)
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import graded_reference as ref
@@ -59,27 +59,48 @@ def rational_polytopes(draw, max_dim=3):
         assume(False)
 
 
-@settings(max_examples=40, deadline=None)
-@given(rational_polytopes(), st.data())
-def test_flattened_rule_matches_recursion(P, data):
+@st.composite
+def rule_cases(draw):
+    """A rational polytope, a small spec and an integrand: ("poly", c) for
+    9 + sum_i c_i x_i^2 + x_0 x_(n-1) / 2, or ("log", i) for -log(l_i / 2 max l_i)."""
+    P = draw(rational_polytopes())
     n = P.dim
     spec = GradedQuadratureSpec(
-        depth=data.draw(st.integers(1, 3 if n < 3 else 1)),
-        nodes=data.draw(st.integers(2, 4 if n < 3 else 2)),
+        depth=draw(st.integers(1, 3 if n < 3 else 1)),
+        nodes=draw(st.integers(2, 4 if n < 3 else 2)),
     )
-    if data.draw(st.booleans(), label="polynomial"):
+    if draw(st.booleans(), label="polynomial"):
+        return P, spec, ("poly", draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    return P, spec, ("log", draw(st.integers(0, len(P.facets) - 1), label="facet"))
+
+
+# Skinny rational simplices: charting their facets takes integer matrices with
+# large entries, and the reference lost 4.0e-12 and (in long double) 1.6e-12
+# of the value to rounding in them.
+SKINNY = [
+    RationalPolytope.from_vertices([(-1, "-1/3", 2), (0, 0, "-3/2"), (0, 0, 0), (1, "3/2", 0)]),
+    RationalPolytope.from_vertices([("-5/3", -1, 0), (0, 0, 0), (0, 2, 2), (2, "-3/2", "5/3")]),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rule_cases())
+@example((SKINNY[0], GradedQuadratureSpec(depth=1, nodes=2), ("log", 0)))
+@example((SKINNY[1], GradedQuadratureSpec(depth=1, nodes=2), ("log", 0)))
+def test_flattened_rule_matches_recursion(case):
+    P, spec, (kind, arg) = case
+    n = P.dim
+    if kind == "poly":
         # 9 + sum_i c_i x_i^2 + x_0 x_{n-1} / 2, positive on [-2, 2]^n
-        cs = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-        terms = {tuple(2 * (j == i) for j in range(n)): c for i, c in enumerate(cs)}
+        terms = {tuple(2 * (j == i) for j in range(n)): c for i, c in enumerate(arg)}
         terms[(0,) * n] = 9
         h = Poly(n, terms) + Poly.variable(n, 0) * Poly.variable(n, n - 1) * Fraction(1, 2)
         batched, pointwise = h.evaluate_float, lambda x: ref.evaluate_float(h, x)
     else:
         # -log(l_F / 2 max l_F): log-singular on facet F, and >= log 2 on P
-        i = data.draw(st.integers(0, len(P.facets) - 1), label="facet")
-        v, c = P.facets[i]
+        v, c = P.facets[arg]
         vf, cf = np.array([float(a) for a in v]), float(c)
-        top = 2.0 * max(float(P.support_value(i, p)) for p in P.vertices)
+        top = 2.0 * max(float(P.support_value(arg, p)) for p in P.vertices)
         batched = lambda x: -np.log((x @ vf - cf) / top)
         pointwise = lambda x: -math.log((sum(a * t for a, t in zip(vf, x)) - cf) / top)
     x, w = graded_rule(P, spec)

@@ -1,8 +1,10 @@
 """Incidence triangulation and cell boundary terms against the chart routes."""
 import math
+import sys
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,15 @@ import chart_reference as ref
 from kstab import polytope
 from kstab.polynomial import MultivariatePolynomial as Poly
 from kstab.polytope import GeometryError, PiecewiseAffine, RationalPolytope, _det, triangulate
-from kstab.quadrature import boundary_integral_pl_poly, integral_polytope
+from kstab.mabuchi import SymplecticPotential, mabuchi_eval
+from kstab.quadrature import (
+    GradedQuadratureSpec,
+    boundary_integral_pl_poly,
+    graded_boundary_integral,
+    graded_rule,
+    integral_polytope,
+)
+from kstab.rootsystem import build_classical
 
 
 @st.composite
@@ -64,3 +74,27 @@ def test_triangulate_cube_builds_no_chart_or_hull(n, monkeypatch):
     for s in simplices:
         assert abs(_det([[x - y for x, y in zip(p, s[0])] for p in s[1:]])) == 1
     assert cube.volume() == Fraction(1)
+
+
+def test_graded_rules_build_no_chart_or_hull(monkeypatch):
+    """The float rules on the A3 cube read faces off the incidence alone."""
+    cube = RationalPolytope.from_vertices(list(product((1, 2), repeat=3)))
+    u = SymplecticPotential(cube)
+    spec = GradedQuadratureSpec(depth=1, nodes=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graded rule built a chart or a hull")
+
+    for name, module in list(sys.modules.items()):
+        if name == "kstab" or name.startswith("kstab."):
+            for attr, value in list(vars(module).items()):
+                if value is polytope.facet_chart:
+                    monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(RationalPolytope, "from_vertices", refuse)
+    x, w = graded_rule(cube, spec)
+    boundary, _ = graded_boundary_integral(lambda x: np.ones(len(x)), cube, spec)
+    energy = mabuchi_eval(build_classical("A", 3), u, "zero", spec)
+    monkeypatch.undo()
+    assert math.fsum(w.tolist()) == pytest.approx(1.0, rel=1e-13)
+    assert boundary == pytest.approx(6.0, rel=1e-13)
+    assert math.isfinite(energy.value)

@@ -9,8 +9,13 @@ import pytest
 
 from kstab.polytope import RationalPolytope
 from kstab.polynomial import MultivariatePolynomial as Poly
-from kstab.quadrature import GradedQuadratureSpec, graded_integral_array
-from kstab.rootsystem import dh_weight, dh_weight_gradient_sum
+from kstab.quadrature import (
+    GradedQuadratureSpec,
+    boundary_integral,
+    graded_integral_array,
+    integral_polytope,
+)
+from kstab.rootsystem import build_classical, dh_weight, dh_weight_gradient_sum
 from kstab.futaki import average_scalar, volume_w
 from kstab.mabuchi import (
     DomainError,
@@ -24,8 +29,8 @@ from kstab.mabuchi import (
 )
 from lemmas import CompactBump, ScaledBump, variation_check
 
-SPEC = GradedQuadratureSpec(depth=12, ratio=Fraction(1, 2), nodes=10, tol=1e-6)
-FAST = GradedQuadratureSpec(depth=8, ratio=Fraction(1, 2), nodes=8, tol=1e-4)
+SPEC = GradedQuadratureSpec(depth=12, nodes=10, tol=1e-6)
+FAST = GradedQuadratureSpec(depth=8, nodes=8, tol=1e-4)
 
 
 def scalar_curvature_fd(rs, u, x, h=1e-3):
@@ -408,15 +413,27 @@ def test_callable_a_of_the_wrong_shape_is_refused(rs_a1, interval_12):
         mabuchi_eval(rs_a1, u, lambda x: 12 * x[0], FAST)
 
 
-def test_boundary_term_refuses_a_non_integer_polygon(rs_a1, rs_a2):
-    """A rational square is refused; a rational interval, whose boundary is two points, is not."""
-    square = RationalPolytope.from_vertices([[1, 1], ["3/2", 1], [1, 2], ["3/2", 2]])
-    with pytest.raises(ValueError) as refused:
-        mabuchi_eval(rs_a2, SymplecticPotential(square), "zero", FAST)
-    assert type(refused.value) is ValueError
-    assert str(refused.value) == "the boundary term needs an integer polytope"
-    interval = RationalPolytope.from_vertices([["1/2"], ["5/2"]])
-    assert math.isfinite(mabuchi_eval(rs_a1, SymplecticPotential(interval), "zero", FAST).value)
+@pytest.mark.parametrize(
+    "series, vertices",
+    [("A", [[1, 1], ["3/2", 1], [1, 2], ["3/2", 2]]), ("B", [["1/2", 1], [2, 1], ["1/2", 2], [2, 2]])],
+    ids=["a2-rational-square", "b2-rational-box"],
+)
+def test_energy_on_a_rational_polygon_matches_exact(series, vertices):
+    """With u = g = x^2/2 + y^2/3 + xy/10 and A = zero the energy is exact:
+    F_A = -log det(Hess g) int_P p + 2 int_bd g p dsigma, with det Hess g =
+    197/300 and both integrals exact on a rational polygon. The float value
+    lies within its error estimate of it, or within rounding."""
+    P = RationalPolytope.from_vertices(vertices)
+    rs = build_classical(series, 2)
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    g = x * x * Fraction(1, 2) + y * y * Fraction(1, 3) + x * y * Fraction(1, 10)
+    p = dh_weight(rs)
+    log_det = -math.log(Fraction(197, 300)) * float(integral_polytope(p, P))
+    boundary = 2.0 * float(boundary_integral(g * p, P))
+    u = SymplecticPotential(P, perturbation=g, canonical=False)
+    res = mabuchi_eval(rs, u, "zero", GradedQuadratureSpec(depth=3, nodes=4))
+    scale = abs(log_det) + abs(boundary)
+    assert abs(res.value - (log_det + boundary)) <= max(res.error, 1e-12 * scale)
 
 
 @pytest.mark.parametrize("A", ["zero", "csc"])

@@ -164,7 +164,7 @@ def test_gl_change_of_variables(square_11_22):
 # -- graded quadrature --------------------------------------------------------
 
 def test_graded_log_singularity(interval_12):
-    spec = GradedQuadratureSpec(depth=16, ratio=Fraction(1, 2), nodes=12, tol=1e-8)
+    spec = GradedQuadratureSpec(depth=16, nodes=12, tol=1e-8)
     val, err = graded_integral(lambda p: math.log(p[0] - 1.0), interval_12, spec)
     assert abs(val - (-1.0)) < 1e-8
     assert abs(val - (-1.0)) <= max(err, 1e-10) * 10
@@ -245,8 +245,6 @@ def test_graded_spec_validation():
     with pytest.raises(ValueError):
         GradedQuadratureSpec(depth=0)
     with pytest.raises(ValueError):
-        GradedQuadratureSpec(ratio=Fraction(3, 2))
-    with pytest.raises(ValueError):
         GradedQuadratureSpec(nodes=1)
 
 
@@ -269,25 +267,82 @@ def boundary_cases(draw):
 @settings(max_examples=30, deadline=None)
 @given(boundary_cases())
 def test_graded_boundary_integral_matches_per_facet_reference(case):
-    """Masked to one facet, the sum and error are the per-facet loop's, bit for bit.
-    The total differs from the loop's pairwise sum by rounding only. The rule at
-    spec.refined() is exact for these degrees, so the value lies within its
-    error estimate, up to rounding, of the exact boundary integral."""
+    """Masked to one facet, the sum and error are the per-facet chart loop's
+    to 1e-12 of that facet's scale, the integral of |h| over it: the flag
+    rule and the chart images' rules are one rule, rounded differently. The
+    rule at spec.refined() is exact for these degrees, so the value lies
+    within its error estimate, up to rounding, of the exact boundary integral."""
     P, h, spec = case
     ref = boundary_by_facet(h.evaluate_float, P, spec)
-    for (v, c), expected in zip(P.facets, ref):
+    sizes = [v for v, _ in boundary_by_facet(lambda x: np.abs(h.evaluate_float(x)), P, spec)]
+    for (v, c), (value, error), size in zip(P.facets, ref, sizes):
         normal, offset = np.array([float(a) for a in v]), float(c)
 
         def on_facet(x, normal=normal, offset=offset):
             return np.where(np.abs(x @ normal - offset) <= 1e-9, h.evaluate_float(x), 0.0)
 
-        assert graded_boundary_integral(on_facet, P, spec) == expected
+        got, got_error = graded_boundary_integral(on_facet, P, spec)
+        assert abs(got - value) <= 1e-12 * size
+        assert abs(got_error - error) <= 1e-12 * size
     value, error = graded_boundary_integral(h.evaluate_float, P, spec)
     parts = [v for v, _ in ref]
     scale = math.fsum(abs(v) for v in parts)
-    assert error == sum(e for _, e in ref)
-    assert abs(value - pairwise_sum(parts)) <= len(parts) * 2**-52 * scale
+    assert abs(error - sum(e for _, e in ref)) <= 1e-12 * math.fsum(sizes)
+    assert abs(value - pairwise_sum(parts)) <= 1e-12 * math.fsum(sizes)
     assert abs(value - float(boundary_integral(h, P))) <= error + 1e-12 * (1 + scale)
+
+
+def _flag_count(P):
+    """Complete flags P > F_(n-1) > ... > F_1 (an edge), counted on the face
+    lattice: the faces are P and every intersection of facets' vertex sets,
+    and a chain steps from a face to one it covers."""
+    faces, new = {frozenset(range(len(P.vertices)))}, set(P.incidence)
+    while new:
+        faces |= new
+        new = {a & b for a in new for b in faces} - faces
+    faces = [f for f in faces if len(f) >= 2]
+
+    def covered(face):
+        below = [g for g in faces if g < face]
+        return [g for g in below if not any(g < h for h in below)]
+
+    def count(face):
+        return 1 if len(face) == 2 else sum(count(g) for g in covered(face))
+
+    return count(max(faces, key=len))
+
+
+@st.composite
+def rational_rule_cases(draw):
+    """A rational polytope of dimension 1-3 (denominators <= 3) and a small spec."""
+    n = draw(st.integers(1, 3))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 3, unique=True))
+    try:
+        P = RationalPolytope.from_vertices(pts)
+    except GeometryError:
+        assume(False)
+    return P, GradedQuadratureSpec(depth=draw(st.integers(1, 2)), nodes=draw(st.integers(2, 3)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_rule_cases())
+def test_flag_rule_weights_and_size(case):
+    """The bulk weights sum to the volume and each facet's boundary weights to
+    its exact canonical measure, and the rule has #flags ((2 depth + 2) nodes)^n
+    nodes, the flags counted on the face lattice."""
+    P, spec = case
+    x, w = graded_rule(P, spec)
+    assert len(w) == _flag_count(P) * ((2 * spec.depth + 2) * spec.nodes) ** P.dim
+    assert math.fsum(w.tolist()) == pytest.approx(float(P.volume()), rel=1e-13)
+    for i, (v, c) in enumerate(P.facets):
+        normal, offset = np.array([float(a) for a in v]), float(c)
+
+        def on_facet(x, normal=normal, offset=offset):
+            return np.where(np.abs(x @ normal - offset) <= 1e-9, 1.0, 0.0)
+
+        value, _ = graded_boundary_integral(on_facet, P, spec)
+        assert value == pytest.approx(float(facet_measure(P, i)), rel=1e-13)
 
 
 def test_pairwise_sum_deterministic():
