@@ -1,4 +1,4 @@
-"""The flattened graded rule and batched potentials against the pointwise references."""
+"""The flattened graded rule, its weights and size, and batched potentials against the pointwise references."""
 import math
 from fractions import Fraction
 
@@ -8,11 +8,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import graded_reference as ref
+from lemmas import facet_measure
 from kstab.futaki import average_scalar
 from kstab.mabuchi import DomainError, PotentialError, SymplecticPotential, mabuchi_eval, scalar_curvature
 from kstab.polynomial import MultivariatePolynomial as Poly
 from kstab.polytope import GeometryError, RationalPolytope
-from kstab.quadrature import GradedQuadratureSpec, graded_rule
+from kstab.quadrature import GradedQuadratureSpec, graded_boundary_integral, graded_rule
 from kstab.rootsystem import build_classical, dh_weight, dh_weight_gradient_sum
 
 RS = {1: build_classical("A", 1), 2: build_classical("A", 2)}
@@ -108,6 +109,46 @@ def test_flattened_rule_matches_recursion(case):
     flat = math.fsum((w * batched(x)).tolist())
     recursive = ref.graded_polytope(pointwise, P, spec)
     assert abs(flat - recursive) <= 1e-12 * abs(recursive)
+
+
+def _flag_count(P):
+    """Complete flags P > F_(n-1) > ... > F_1 (an edge), counted on the face
+    lattice: the faces are P and every intersection of facets' vertex sets,
+    and a chain steps from a face to one it covers."""
+    faces, new = {frozenset(range(len(P.vertices)))}, set(P.incidence)
+    while new:
+        faces |= new
+        new = {a & b for a in new for b in faces} - faces
+    faces = [f for f in faces if len(f) >= 2]
+
+    def covered(face):
+        below = [g for g in faces if g < face]
+        return [g for g in below if not any(g < h for h in below)]
+
+    def count(face):
+        return 1 if len(face) == 2 else sum(count(g) for g in covered(face))
+
+    return count(max(faces, key=len))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_polytopes(), st.integers(1, 2), st.integers(2, 3))
+def test_flag_rule_weights_and_size(P, depth, nodes):
+    """The bulk weights sum to the volume and each facet's boundary weights to
+    its exact canonical measure, and the rule has #flags ((2 depth + 2) nodes)^n
+    nodes, the flags counted on the face lattice."""
+    spec = GradedQuadratureSpec(depth=depth, nodes=nodes)
+    x, w = graded_rule(P, spec)
+    assert len(w) == _flag_count(P) * ((2 * spec.depth + 2) * spec.nodes) ** P.dim
+    assert math.fsum(w.tolist()) == pytest.approx(float(P.volume()), rel=1e-13)
+    for i, (v, c) in enumerate(P.facets):
+        normal, offset = np.array([float(a) for a in v]), float(c)
+
+        def on_facet(x, normal=normal, offset=offset):
+            return np.where(np.abs(x @ normal - offset) <= 1e-9, 1.0, 0.0)
+
+        value, _ = graded_boundary_integral(on_facet, P, spec)
+        assert value == pytest.approx(float(facet_measure(P, i)), rel=1e-13)
 
 
 @st.composite

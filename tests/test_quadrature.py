@@ -292,59 +292,6 @@ def test_graded_boundary_integral_matches_per_facet_reference(case):
     assert abs(value - float(boundary_integral(h, P))) <= error + 1e-12 * (1 + scale)
 
 
-def _flag_count(P):
-    """Complete flags P > F_(n-1) > ... > F_1 (an edge), counted on the face
-    lattice: the faces are P and every intersection of facets' vertex sets,
-    and a chain steps from a face to one it covers."""
-    faces, new = {frozenset(range(len(P.vertices)))}, set(P.incidence)
-    while new:
-        faces |= new
-        new = {a & b for a in new for b in faces} - faces
-    faces = [f for f in faces if len(f) >= 2]
-
-    def covered(face):
-        below = [g for g in faces if g < face]
-        return [g for g in below if not any(g < h for h in below)]
-
-    def count(face):
-        return 1 if len(face) == 2 else sum(count(g) for g in covered(face))
-
-    return count(max(faces, key=len))
-
-
-@st.composite
-def rational_rule_cases(draw):
-    """A rational polytope of dimension 1-3 (denominators <= 3) and a small spec."""
-    n = draw(st.integers(1, 3))
-    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 3, unique=True))
-    try:
-        P = RationalPolytope.from_vertices(pts)
-    except GeometryError:
-        assume(False)
-    return P, GradedQuadratureSpec(depth=draw(st.integers(1, 2)), nodes=draw(st.integers(2, 3)))
-
-
-@settings(max_examples=30, deadline=None)
-@given(rational_rule_cases())
-def test_flag_rule_weights_and_size(case):
-    """The bulk weights sum to the volume and each facet's boundary weights to
-    its exact canonical measure, and the rule has #flags ((2 depth + 2) nodes)^n
-    nodes, the flags counted on the face lattice."""
-    P, spec = case
-    x, w = graded_rule(P, spec)
-    assert len(w) == _flag_count(P) * ((2 * spec.depth + 2) * spec.nodes) ** P.dim
-    assert math.fsum(w.tolist()) == pytest.approx(float(P.volume()), rel=1e-13)
-    for i, (v, c) in enumerate(P.facets):
-        normal, offset = np.array([float(a) for a in v]), float(c)
-
-        def on_facet(x, normal=normal, offset=offset):
-            return np.where(np.abs(x @ normal - offset) <= 1e-9, 1.0, 0.0)
-
-        value, _ = graded_boundary_integral(on_facet, P, spec)
-        assert value == pytest.approx(float(facet_measure(P, i)), rel=1e-13)
-
-
 def test_pairwise_sum_deterministic():
     xs = [0.1 * i for i in range(101)]
     assert pairwise_sum(xs) == pairwise_sum(list(xs))
