@@ -4,7 +4,15 @@ Exact rational pipelines (hull, lattice counts, polynomial integration) feed
 two independent computations of the Futaki invariant of a piecewise-linear
 degeneration, plus the scalar curvature operator and the Mabuchi energy of
 symplectic potentials.
+
+``import kstab`` loads no numpy. The exact API (polynomials, polytopes,
+root systems, exact integrals, the Futaki routes, pick and the spec reader)
+is imported eagerly. The float names in ``_FLOAT_NAMES``, from
+``kstab.graded`` and ``kstab.mabuchi``, are resolved on first access through
+the module ``__getattr__`` (PEP 562), which imports their module, and so
+numpy, then; every other unknown name raises AttributeError.
 """
+from importlib import import_module
 
 from .polynomial import MultivariatePolynomial, as_fraction, format_fraction
 from .polytope import (
@@ -21,10 +29,7 @@ from .quadrature import (
     QuadratureError,
     boundary_integral,
     boundary_integral_pl_poly,
-    graded_boundary_integral,
     graded_integral,
-    graded_integral_array,
-    graded_rule,
     integral_pl_poly,
     integral_polytope,
 )
@@ -50,15 +55,27 @@ from .futaki import (
     weighted_weight_wk,
 )
 from .pick import AsymptoticFit, pick_check, pick_fit, pick_sum
-from .mabuchi import (
-    MabuchiResult,
-    PotentialError,
-    SymplecticPotential,
-    el_residual,
-    mabuchi_eval,
-    make_a_preset,
-    scalar_curvature,
-)
 from .specio import JobSpec, SpecError, load_jobspec, parse_jobspec
 
 __version__ = "0.1.0"
+
+# Float names and the module that defines each; importing it loads numpy.
+_FLOAT_NAMES = {
+    "graded_boundary_integral": "graded",
+    "graded_integral_array": "graded",
+    "graded_rule": "graded",
+    "MabuchiResult": "mabuchi",
+    "PotentialError": "mabuchi",
+    "SymplecticPotential": "mabuchi",
+    "el_residual": "mabuchi",
+    "mabuchi_eval": "mabuchi",
+    "make_a_preset": "mabuchi",
+    "scalar_curvature": "mabuchi",
+}
+
+
+def __getattr__(name: str):
+    if name not in _FLOAT_NAMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(import_module("." + _FLOAT_NAMES[name], __name__), name)
+

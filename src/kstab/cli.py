@@ -4,6 +4,10 @@ Reports are JSON with every exact quantity rendered as a rational string and
 floats printed with 17 significant digits; byte-identical runs are guaranteed
 once the timestamp is suppressed with --no-meta. Exit codes: 0 success (and
 agreement, when an oracle ran), 1 failed check, 2 bad input.
+
+Only the float commands, scalar and mabuchi, load numpy: their handlers
+import kstab.mabuchi and kstab.graded, so futaki, pick and dims start
+without it.
 """
 from __future__ import annotations
 
@@ -15,24 +19,13 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
 from .futaki import _volume_and_average, closed_form_report, futaki_cross_check
-from .mabuchi import (
-    SCALAR_DIVERGENCE_FACTOR,
-    GradedQuadratureSpec,
-    SymplecticPotential,
-    el_residual,
-    interior_grid,
-    mabuchi_eval,
-    scalar_curvature,
-    _resolve_a,
-)
 from .pick import pick_check
 from .polynomial import MultivariatePolynomial, format_fraction
-from .quadrature import graded_integral_array
+from .quadrature import GradedQuadratureSpec
 from .rootsystem import (
     QN1_PFG_RATIO,
+    SCALAR_DIVERGENCE_FACTOR,
     build_classical,
     build_from_cartan,
     dh_weight,
@@ -176,7 +169,9 @@ def _cmd_pick(args) -> int:
     return 0 if passed else 1
 
 
-def _build_potential(spec, potential_path: str | None) -> SymplecticPotential:
+def _build_potential(spec, potential_path: str | None):
+    from .mabuchi import SymplecticPotential
+
     canonical, perturbation = spec.potential_canonical, spec.potential_perturbation
     if potential_path:
         canonical, perturbation = load_potential(potential_path, spec.polytope.dim)
@@ -186,6 +181,10 @@ def _build_potential(spec, potential_path: str | None) -> SymplecticPotential:
 
 
 def _cmd_mabuchi(args) -> int:
+    import numpy as np
+
+    from .mabuchi import _resolve_a, el_residual, interior_grid, mabuchi_eval
+
     spec = load_jobspec(args.spec)
     u = _build_potential(spec, args.potential)
     a_fn = _resolve_a(spec.root_system, spec.polytope, args.A)
@@ -214,6 +213,11 @@ def _cmd_mabuchi(args) -> int:
 
 
 def _cmd_scalar(args) -> int:
+    import numpy as np
+
+    from .graded import graded_integral_array
+    from .mabuchi import interior_grid, scalar_curvature
+
     spec = load_jobspec(args.spec)
     u = _build_potential(spec, args.potential)
     grid = interior_grid(spec.polytope, args.grid)

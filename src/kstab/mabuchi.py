@@ -51,20 +51,17 @@ from typing import Callable
 
 import numpy as np
 
-from .polynomial import MultivariatePolynomial, evaluate_table, float_table
+from .graded import evaluate_table, float_table, graded_boundary_integral, graded_integral_array
+from .polynomial import MultivariatePolynomial
 from .polytope import RationalPolytope
-from .quadrature import GradedQuadratureSpec, graded_boundary_integral, graded_integral_array
+from .quadrature import GradedQuadratureSpec
 from .rootsystem import (
+    SCALAR_DIVERGENCE_FACTOR,
     RootSystem,
     dh_weight,
     dh_weight_gradient_sum,
 )
 from .futaki import average_scalar, _require_match, _require_positive_chamber
-
-# Factor on the divergence term of the scalar curvature operator. 1/2 is the
-# convention under which the average-scalar identity int S W = a Vol_W holds
-# exactly; 1 reproduces the factor-free variant some sources use.
-SCALAR_DIVERGENCE_FACTOR = 0.5
 
 
 class PotentialError(ValueError):
@@ -125,9 +122,17 @@ class SymplecticPotential:
         try:
             V = np.array([[float(a) for a in v] for v, _ in polytope.facets])
             self._offsets = np.array([float(c) for _, c in polytope.facets])
+            reach = np.abs([[float(a) for a in v] for v in polytope.vertices]).max(axis=0)
         except OverflowError:
             raise PotentialError("polytope: a facet normal or offset overflows a float") from None
         self._Vt = V.T
+        # A rule node on a facet is a float combination of at most n + 1
+        # rounded points of P, so its l_F may come out a few ulps below 0.
+        # The closed polytope admits l_F >= -4 (n+1)^2 eps (|v_F| . r + |b_F|),
+        # r the largest |coordinate| of a vertex per axis.
+        n = polytope.dim
+        eps = np.finfo(float).eps
+        self._slack = 4 * (n + 1) ** 2 * eps * (np.abs(V) @ reach + np.abs(self._offsets))
         # u_sigma's k-th derivative is w_k(l) @ c_k v_F^(xk), with v_F^(xk)
         # flattened to (F, n^k), w_k = l log l, log l + 1, 1/l, 1/l^2, 1/l^3
         # and c_k = 1/2, 1/2, 1/2, -1/2, 1 (all 0 when not canonical)
@@ -144,11 +149,17 @@ class SymplecticPotential:
 
     def _l_values(self, x, allow_boundary: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """x as floats and l_F(x) (..., F); DomainError names the first point
-        where l_F > 0 (l_F >= 0 with allow_boundary) fails, NaN included."""
+        where l_F > 0 fails, NaN included. With allow_boundary, l_F >= 0 is
+        required only up to the rounding slack of a node on a facet, and an
+        l_F within it below 0 is set to 0."""
         x = np.asarray(x, dtype=float)
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite l fails below
             ls = x @ self._Vt - self._offsets
-        inside = ls >= 0 if allow_boundary else ls > 0
+        if allow_boundary:
+            inside = ls >= -self._slack
+            ls[ls < 0] = 0.0
+        else:
+            inside = ls > 0
         if not inside.all():
             first = x.reshape(-1, x.shape[-1])[inside.all(axis=-1).reshape(-1).argmin()]
             raise DomainError(

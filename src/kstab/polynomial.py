@@ -4,14 +4,17 @@ These are the universal value carriers for every closed-form computation in
 the package: weight polynomials, their homogeneous parts, pulled-back
 integrands. Coefficients are ``fractions.Fraction`` throughout; floats are
 rejected at construction so no rounding can sneak into an exact pipeline.
+The module imports no numpy: ``evaluate_float``, the one float method,
+builds its evaluator with ``kstab.graded`` on its first call.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Exponent = tuple[int, ...]
 
@@ -29,31 +32,6 @@ def format_fraction(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
-
-
-def float_table(polys: Sequence[MultivariatePolynomial]) -> tuple[np.ndarray, np.ndarray]:
-    """Float exponents (T, n) of the monomials of polys, in canonical term
-    order, and coefficients (T, len(polys)): column j holds polys[j], so one
-    power product and one matmul evaluate them all (evaluate_table)."""
-    monomials = sorted({e for q in polys for e in q._terms}, key=lambda e: (sum(e), e))
-    row = {e: t for t, e in enumerate(monomials)}
-    coefs = np.zeros((len(monomials), len(polys)))
-    for j, q in enumerate(polys):
-        for e, c in q._terms.items():
-            coefs[row[e], j] = float(c)
-    return np.array(monomials, dtype=float).reshape(len(monomials), polys[0].nvars), coefs
-
-
-def evaluate_table(table: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """The polynomials of a float_table at x (..., n): x.shape[:-1] + coefs.shape[1:].
-
-    A coefficient matrix is one matmul. A coefficient vector (one polynomial)
-    is summed per point instead, so that a point and the same row of an array
-    give the same bits. A table without monomials gives zeros.
-    """
-    exps, coefs = table
-    powers = (x[..., None, :] ** exps).prod(axis=-1)
-    return powers @ coefs if coefs.ndim == 2 else (powers * coefs).sum(axis=-1)
 
 
 class MultivariatePolynomial:
@@ -260,15 +238,14 @@ class MultivariatePolynomial:
     def evaluate_float(self, point) -> float | np.ndarray:
         """Float value at one point, or at every row of an (m, n) array.
 
-        The float exponents and coefficients are built once per polynomial.
+        The first call loads numpy and builds the float evaluator
+        (graded.float_evaluator), once per polynomial.
         """
-        x = np.asarray(point, dtype=float)
-        if x.shape[-1:] != (self.nvars,):
-            raise ValueError("point dimension mismatch")
         if self._floats is None:
-            exps, coefs = float_table([self])
-            object.__setattr__(self, "_floats", (exps, coefs[:, 0]))
-        return evaluate_table(self._floats, x)
+            from .graded import float_evaluator
+
+            object.__setattr__(self, "_floats", float_evaluator(self))
+        return self._floats(point)
 
     def substitute_affine(self, matrix: Sequence[Sequence], shift: Sequence) -> "MultivariatePolynomial":
         """Substitute x_i = shift[i] + sum_j matrix[i][j] * y_j, exactly.

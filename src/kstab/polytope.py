@@ -284,18 +284,8 @@ class RationalPolytope:
 
     # -- basic queries -------------------------------------------------------
 
-    def support_value(self, facet_index: int, x: Sequence) -> Fraction:
-        v, c = self.facets[facet_index]
-        return sum(a * as_fraction(b) for a, b in zip(v, x)) - c
-
     def facet_vertices(self, facet_index: int) -> list[Point]:
         return [self.vertices[j] for j in sorted(self.incidence[facet_index])]
-
-    @property
-    def is_integer(self) -> bool:
-        return all(
-            x.denominator == 1 for p in self.vertices for x in p
-        ) and all(c.denominator == 1 for _, c in self.facets)
 
     @cached_property
     def in_positive_chamber(self) -> bool:

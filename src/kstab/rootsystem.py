@@ -35,6 +35,13 @@ from .polynomial import MultivariatePolynomial
 # 1/4, and 1/2 is the value under which the average-scalar identity closes.
 QN1_PFG_RATIO = Fraction(1, 2)
 
+# Factor on the divergence term of the scalar curvature operator (mabuchi).
+# 1/2 is the convention under which the average-scalar identity
+# int S W = a Vol_W holds exactly; 1 reproduces the factor-free variant some
+# sources use. It lives here, beside QN1_PFG_RATIO, because every report's
+# convention block prints both and the exact commands load no float module.
+SCALAR_DIVERGENCE_FACTOR = 0.5
+
 # Largest rank either construction accepts, checked before anything of that
 # size is allocated; without it a rank of 10^6 exhausts memory. Checking a
 # user's Cartan matrix costs O(n^4) exact arithmetic in its Sylvester

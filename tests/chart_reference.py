@@ -29,6 +29,7 @@ from kstab.polytope import (
     pl_cells,
 )
 from kstab.quadrature import integral_over_simplex
+from incidence_reference import support_value
 
 
 def unmap_point(chart: FacetChart, y) -> tuple:
@@ -71,7 +72,7 @@ def triangulate(P: RationalPolytope) -> list[list]:
     apex = P.vertices[0]
     simplices = []
     for i in range(len(P.facets)):
-        if P.support_value(i, apex) == 0:
+        if support_value(P, i, apex) == 0:
             continue
         if n == 1:
             simplices.append([apex, P.facet_vertices(i)[0]])

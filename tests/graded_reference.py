@@ -1,7 +1,7 @@
 """The recursive graded rule and the per-point potential, kept as references.
 
-``kstab.quadrature.graded_rule`` builds the boundary-graded rule as one node
-array from flags of faces, ``kstab.quadrature.graded_boundary_integral``
+``kstab.graded.graded_rule`` builds the boundary-graded rule as one node
+array from flags of faces, ``kstab.graded.graded_boundary_integral``
 integrates over the boundary, and ``kstab.mabuchi`` evaluates potentials,
 scalar curvature and the energy's integrands on whole arrays of nodes. This
 module keeps the code they replaced: the rule as a recursion over facet
@@ -19,8 +19,10 @@ import numpy as np
 
 from kstab.mabuchi import PotentialError
 from kstab.polytope import RationalPolytope, facet_chart
-from kstab.quadrature import GradedQuadratureSpec, graded_integral_array
+from kstab.graded import graded_integral_array
+from kstab.quadrature import GradedQuadratureSpec
 from kstab.rootsystem import dh_weight, dh_weight_gradient_sum
+from incidence_reference import support_value
 
 
 def pairwise_sum(values) -> float:
@@ -77,7 +79,7 @@ def _facet_rules(P: RationalPolytope, spec: GradedQuadratureSpec):
     for i in range(len(P.facets)):
         chart = facet_chart(P, i)
         cols, shift = chart.unmap_affine_data()
-        yield P.support_value(i, c), [
+        yield support_value(P, i, c), [
             ([sh + sum(a * t for a, t in zip(row, y)) - ci for row, sh, ci in zip(cols, shift, c)], w)
             for y, w in graded_nodes(chart.image, spec)
         ]

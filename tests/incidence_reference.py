@@ -12,8 +12,17 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from fractions import Fraction
+
+from kstab.polynomial import as_fraction
 from kstab.polytope import Point, RationalPolytope
 from subset_reference import row_reduce
+
+
+def support_value(P: RationalPolytope, facet_index: int, x: Sequence) -> Fraction:
+    """l_F(x) = <v_F, x> - c_F for facet facet_index of P, exactly."""
+    v, c = P.facets[facet_index]
+    return sum(a * as_fraction(b) for a, b in zip(v, x)) - c
 
 
 def affine_rank(points: Sequence[Point]) -> int:
@@ -27,7 +36,7 @@ def affine_rank(points: Sequence[Point]) -> int:
 def incidence(P: RationalPolytope) -> list[frozenset]:
     """{j : l_i(v_j) = 0} for every facet i, from support values."""
     return [
-        frozenset(j for j, v in enumerate(P.vertices) if P.support_value(i, v) == 0)
+        frozenset(j for j, v in enumerate(P.vertices) if support_value(P, i, v) == 0)
         for i in range(len(P.facets))
     ]
 

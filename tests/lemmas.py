@@ -18,7 +18,8 @@ from kstab.mabuchi import SymplecticPotential, _resolve_a, _weight_data, el_resi
 from kstab.polynomial import MultivariatePolynomial, as_fraction
 from kstab.polytope import GeometryError, PiecewiseAffine, RationalPolytope, _det
 from kstab.polytope import dilated_lattice_points, facet_chart
-from kstab.quadrature import GradedQuadratureSpec, graded_integral_array
+from kstab.graded import graded_integral_array
+from kstab.quadrature import GradedQuadratureSpec
 from kstab.rootsystem import RootSystem, dh_weight, dh_weight_gradient_sum, weyl_eval
 
 
@@ -77,6 +78,13 @@ def wk_via_lift(rs: RootSystem, P: RationalPolytope, f: PiecewiseAffine, R, k: i
 
 
 
+def is_integer(P: RationalPolytope) -> bool:
+    """Whether P's vertices and facet offsets are all integers."""
+    return all(x.denominator == 1 for p in P.vertices for x in p) and all(
+        c.denominator == 1 for _, c in P.facets
+    )
+
+
 def facet_measure(P: RationalPolytope, facet_index: int) -> Fraction:
     """Total canonical boundary measure of a facet (exact)."""
     if P.dim == 1:
@@ -90,7 +98,7 @@ def facet_lattice_count(P: RationalPolytope, facet_index: int, k: int) -> int:
     Enumerates integer solutions of <v_F, x> = k c_F directly over the
     facet's bounding box, pivoting on one coordinate of the normal.
     """
-    if not P.is_integer:
+    if not is_integer(P):
         raise GeometryError("facet lattice counts need an integer polytope")
     if k < 1:
         raise ValueError("dilation factor must be >= 1")

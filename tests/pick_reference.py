@@ -21,6 +21,7 @@ from kstab.polynomial import MultivariatePolynomial
 from kstab.polytope import RationalPolytope, check_walk, lattice_points
 from kstab.quadrature import boundary_integral, integral_polytope
 from graded_reference import pairwise_sum
+from lemmas import is_integer
 
 DEFAULT_KS = (4, 8, 16, 32, 64)
 
@@ -115,7 +116,7 @@ def pick_check(
     (bounded residual in dimension one). With ``convex=False`` the verdict is
     computed the same way but marked informational in the fit.
     """
-    if not P.is_integer:
+    if not is_integer(P):
         raise ValueError("the asymptotic check needs an integer polytope")
     fit = pick_fit(P, h, ks, informational=not convex)
     n = P.dim

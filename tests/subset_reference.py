@@ -6,11 +6,15 @@ test every subset of size n instead: of the points, for a hyperplane through
 them that supports the rest, and of the halfspaces, for a feasible
 intersection point. This module keeps those loops, so the tests can compare
 the two on random input, with the Gauss-Jordan kernel ``row_reduce`` that
-they and the other references use for ranks and solves. The package needs
-only determinants, which ``kstab.polytope._det`` computes fraction-free.
+they and the other references use for ranks and solves. The vertex loop
+solves each n-subset over the integers instead (``_solve_integer``), by
+Cramer numerators, and builds no Fraction until a vertex is found. The
+package needs only determinants, which ``kstab.polytope._det`` computes
+fraction-free.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -92,15 +96,50 @@ def _hull_facets(points: list[Point], n: int) -> list[Halfspace]:
     return sorted(facets)
 
 
+def _integer_rows(halfspaces: Sequence[Halfspace]) -> list[list[int]]:
+    """Each halfspace <v, x> >= c as integers [v d, c d], d > 0 clearing its denominators."""
+    rows = []
+    for v, c in halfspaces:
+        row = [as_fraction(x) for x in (*v, c)]
+        d = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+    return rows
+
+
+def _solve_integer(rows: Sequence[Sequence[int]], n: int) -> tuple[list[int], int] | None:
+    """Cramer numerators and determinant (> 0) of the square system [A | b],
+    None when A is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): after step k every
+    entry is a minor of order k + 1, so each division by the previous pivot
+    is exact, and at the end the diagonal is det A and column n is det A * x.
+    """
+    a = [list(row) for row in rows]
+    prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][k]), None)
+        if p is None:
+            return None
+        a[k], a[p] = a[p], a[k]
+        pivot, prow = a[k][k], a[k]
+        for r in range(n):
+            if r != k:
+                f = a[r][k]
+                a[r] = [(pivot * x - f * y) // prev for x, y in zip(a[r], prow)]
+        prev = pivot
+    sign = 1 if prev > 0 else -1
+    return [sign * row[n] for row in a], sign * prev
+
+
 def _enumerate_vertices(facets: list[Halfspace], n: int) -> list[Point]:
+    """The feasible intersection points of every n halfspaces, in integers."""
+    rows = _integer_rows(facets)
     verts: set[Point] = set()
-    for subset in combinations(facets, n):
-        a, pivots, _ = row_reduce([list(v) + [c] for v, c in subset], n)
-        if len(pivots) < n:
+    for subset in combinations(rows, n):
+        solved = _solve_integer(subset, n)
+        if solved is None:
             continue
-        sol = tuple(row[n] for row in a)
-        if all(
-            sum(a * b for a, b in zip(v, sol)) >= c for v, c in facets
-        ):
-            verts.add(sol)
+        num, det = solved
+        if all(sum(a * b for a, b in zip(row, num)) >= row[n] * det for row in rows):
+            verts.add(tuple(Fraction(x, det) for x in num))
     return sorted(verts)

@@ -8,12 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import graded_reference as ref
+from incidence_reference import support_value
 from lemmas import facet_measure
 from kstab.futaki import average_scalar
 from kstab.mabuchi import DomainError, PotentialError, SymplecticPotential, mabuchi_eval, scalar_curvature
 from kstab.polynomial import MultivariatePolynomial as Poly
 from kstab.polytope import GeometryError, RationalPolytope
-from kstab.quadrature import GradedQuadratureSpec, graded_boundary_integral, graded_rule
+from kstab.graded import graded_boundary_integral, graded_rule
+from kstab.quadrature import GradedQuadratureSpec
 from kstab.rootsystem import build_classical, dh_weight, dh_weight_gradient_sum
 
 RS = {1: build_classical("A", 1), 2: build_classical("A", 2)}
@@ -49,9 +51,9 @@ def _term_scale(u, pts):
 
 
 @st.composite
-def rational_polytopes(draw, max_dim=3):
+def rational_polytopes(draw, max_dim=3, min_dim=1):
     """A full-dimensional polytope with rational vertices (denominators <= 3)."""
-    n = draw(st.integers(1, max_dim))
+    n = draw(st.integers(min_dim, max_dim))
     coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
     pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 2, unique=True))
     try:
@@ -101,7 +103,7 @@ def test_flattened_rule_matches_recursion(case):
         # -log(l_F / 2 max l_F): log-singular on facet F, and >= log 2 on P
         v, c = P.facets[arg]
         vf, cf = np.array([float(a) for a in v]), float(c)
-        top = 2.0 * max(float(P.support_value(arg, p)) for p in P.vertices)
+        top = 2.0 * max(float(support_value(P, arg, p)) for p in P.vertices)
         batched = lambda x: -np.log((x @ vf - cf) / top)
         pointwise = lambda x: -math.log((sum(a * t for a, t in zip(vf, x)) - cf) / top)
     x, w = graded_rule(P, spec)
@@ -269,6 +271,26 @@ def energy_cases(draw):
     except PotentialError:
         assume(False)
     return u
+
+
+@settings(max_examples=12, deadline=None)
+@given(rational_polytopes(min_dim=2), st.data())
+def test_energy_nodes_stay_in_the_closed_polytope(P, data):
+    """Moved into the positive chamber, a random rational polytope of
+    dimension 2-3 takes the energy (A = zero, depth 1, 2 nodes): its
+    boundary nodes land on slanted facets a few ulps outside P, which the
+    potential must take as on the boundary. The value is finite, or the rule
+    is refused on size; DomainError is never raised."""
+    n = P.dim
+    shift = [1 - min(v[i] for v in P.vertices) for i in range(n)]
+    P = RationalPolytope.from_vertices([[a + s for a, s in zip(v, shift)] for v in P.vertices])
+    rs = build_classical(data.draw(st.sampled_from(SERIES[n]), label="series"), n)
+    try:
+        res = mabuchi_eval(rs, SymplecticPotential(P), "zero", GradedQuadratureSpec(depth=1, nodes=2))
+    except ValueError as exc:
+        assert not isinstance(exc, DomainError) and "the limit is" in str(exc), exc
+        return
+    assert math.isfinite(res.value) and math.isfinite(res.error)
 
 
 @pytest.mark.parametrize("preset", ["zero", "paper", "csc"])

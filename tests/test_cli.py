@@ -1,5 +1,7 @@
 """Command-line front end: spec parsing, reports, exit codes, determinism."""
+import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -493,6 +495,79 @@ def test_shipped_pick_reports_match_golden(name, tmp_path):
     assert out.read_bytes() == _golden("pick_%s.json" % name).read_bytes()
 
 
+# Blocks numpy in a fresh interpreter, so that any import of it raises, then
+# runs kstab.cli.main on each argv list given as JSON and prints the exit
+# codes, dims' stdout and the kstab modules loaded.
+_NO_NUMPY_CHILD = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import kstab, kstab.futaki, kstab.pick
+from kstab import cli
+try:
+    kstab.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("kstab.no_such_name resolved")
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs.append((code, out.getvalue() if argv[0] == "dims" else None))
+print(json.dumps({"runs": runs, "modules": sorted(m for m in sys.modules if m.startswith("kstab"))}))
+"""
+
+# Weyl dimensions: the CI step's non-simply-laced fundamentals, and A2's adjoint.
+DIMS = [("G2", "2", "1,0", "14"), ("G2", "2", "0,1", "7"), ("F4", "4", "0,0,0,1", "26"),
+        ("F4", "4", "1,0,0,0", "52"), ("B", "3", "0,0,1", "8"), ("A", "2", "1,1", "8")]
+
+
+# The float names that ``kstab`` exports lazily, by defining module.
+LAZY_NAMES = {
+    "graded": ["graded_boundary_integral", "graded_integral_array", "graded_rule"],
+    "mabuchi": ["MabuchiResult", "PotentialError", "SymplecticPotential", "el_residual",
+                "mabuchi_eval", "make_a_preset", "scalar_curvature"],
+}
+
+
+def test_exact_commands_import_no_numpy(tmp_path):
+    """With numpy blocked, ``import kstab`` and the exact commands work:
+    futaki --oracle and pick reproduce every shipped golden byte for byte,
+    dims prints the Weyl dimensions, and no float module is loaded. With
+    numpy available, every lazily exported float name resolves to its
+    module's object."""
+    jobs, expected = [], []
+    specs = sorted((REPO / "specs").glob("*.json")) + sorted((REPO / "specs" / "rational").glob("*.json"))
+    for spec in specs:
+        where = "rational/" if spec.parent.name == "rational" else ""
+        for argv, prefix in ((["futaki", "--oracle"], "futaki_oracle_"), (["pick"], "pick_")):
+            out = tmp_path / (where.replace("/", "_") + prefix + spec.name)
+            jobs.append(argv + ["--spec", str(spec), "--no-meta", "--out", str(out)])
+            expected.append((out, _golden(where + prefix + spec.name)))
+    for series, rank, lam, _ in DIMS:
+        jobs.append(["dims", "--series", series, "--rank", rank, "--lambda", lam])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_CHILD, json.dumps(jobs)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert not {"kstab.graded", "kstab.mabuchi"} & set(result["modules"])
+    codes, dims = zip(*result["runs"])
+    assert codes == (0,) * len(jobs)
+    assert list(dims[len(expected):]) == [value + "\n" for *_, value in DIMS]
+    for out, golden in expected:
+        assert out.read_bytes() == golden.read_bytes(), out.name
+    import kstab
+
+    for module, names in LAZY_NAMES.items():
+        for name in names:
+            assert getattr(kstab, name) is getattr(importlib.import_module("kstab." + module), name)
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [
@@ -563,6 +638,26 @@ def test_mabuchi_command(su2_spec, tmp_path):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "x1,residual"
     assert len(lines) == 13
+
+
+# A2 on a rational quadrilateral. Its slanted facet -21x + 2y >= -48 puts
+# graded boundary nodes a few ulps outside P in floats, where mabuchi once
+# exited 2 at every depth.
+QUAD_SPEC = {
+    "schema": "kstab/1",
+    "root_system": {"series": "A", "rank": 2},
+    "polytope": {"vertices": [["1/3", "1/2"], ["7/3", "1/2"], ["5/2", "9/4"], ["1/3", "3"]]},
+}
+
+
+@pytest.mark.parametrize("A", ["zero", "csc"])
+def test_mabuchi_on_a_rational_quadrilateral(A, tmp_path):
+    path = tmp_path / "a2_quadrilateral.json"
+    path.write_text(json.dumps(QUAD_SPEC))
+    argv = ["mabuchi", "--spec", str(path), "--A", A, "--quad-depth", "2", "--quad-nodes", "3"]
+    assert main(argv + ["--no-meta", "--out", str(tmp_path / "r.json")]) in (0, 1)
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert all(math.isfinite(float(report[k])) for k in ("value", "error_estimate"))
 
 
 def test_mabuchi_potential_override(su2_spec, tmp_path):

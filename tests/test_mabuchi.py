@@ -9,12 +9,8 @@ import pytest
 
 from kstab.polytope import RationalPolytope
 from kstab.polynomial import MultivariatePolynomial as Poly
-from kstab.quadrature import (
-    GradedQuadratureSpec,
-    boundary_integral,
-    graded_integral_array,
-    integral_polytope,
-)
+from kstab.graded import graded_integral_array
+from kstab.quadrature import GradedQuadratureSpec, boundary_integral, integral_polytope
 from kstab.rootsystem import build_classical, dh_weight, dh_weight_gradient_sum
 from kstab.futaki import average_scalar, volume_w
 from kstab.mabuchi import (
@@ -27,6 +23,7 @@ from kstab.mabuchi import (
     make_a_preset,
     scalar_curvature,
 )
+from incidence_reference import support_value
 from lemmas import CompactBump, ScaledBump, variation_check
 
 SPEC = GradedQuadratureSpec(depth=12, nodes=10, tol=1e-6)
@@ -398,7 +395,7 @@ def test_interior_grid_points_are_distinct_and_interior(name, request):
         pts = interior_grid(P, count)
         assert len(pts) == len(set(pts)) == count
         for p in pts:
-            assert all(P.support_value(i, [Fraction(x) for x in p]) > 0 for i in range(len(P.facets)))
+            assert all(support_value(P, i, [Fraction(x) for x in p]) > 0 for i in range(len(P.facets)))
     if P.dim > 1:  # the first 1 + 4 #vertices points stay: the centroid, then four per vertex ray
         c = [float(x) for x in P.centroid()]
         rays = [[ci + t * (float(vi) - ci) for ci, vi in zip(c, v)]

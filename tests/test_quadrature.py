@@ -12,16 +12,18 @@ from hypothesis import strategies as st
 
 from kstab.polynomial import MultivariatePolynomial as Poly
 from kstab.polytope import GeometryError, PiecewiseAffine, RationalPolytope
-from kstab.quadrature import (
+from kstab.graded import (
     MAX_QUADRATURE_NODES,
+    graded_boundary_integral,
+    graded_integral_array,
+    graded_rule,
+)
+from kstab.quadrature import (
     GradedQuadratureSpec,
     QuadratureError,
     boundary_integral,
     boundary_integral_pl_poly,
-    graded_boundary_integral,
     graded_integral,
-    graded_integral_array,
-    graded_rule,
     integral_over_simplex,
     integral_pl_poly,
     integral_polytope,
