@@ -78,4 +78,3 @@ def __getattr__(name: str):
     if name not in _FLOAT_NAMES:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
     return getattr(import_module("." + _FLOAT_NAMES[name], __name__), name)
-
