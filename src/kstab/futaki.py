@@ -205,10 +205,18 @@ def interpolate_coefficients(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> 
 
 
 def _poly_value(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(list(coeffs)):
-        total = total * x + c
-    return total
+    """sum(coeffs[j] x^j) by Horner's rule in ints, over one common denominator.
+
+    With x = p/q and den the lcm of the coefficient denominators, the value is
+    sum(c_j den p^j q^(d - j)) / (den q^d) for d = len(coeffs) - 1.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    p, q = x.numerator, x.denominator
+    total, qpow = 0, 1
+    for c in reversed(coeffs):
+        total = total * p + c.numerator * (den // c.denominator) * qpow
+        qpow *= q
+    return Fraction(total, den * q ** max(len(coeffs) - 1, 0))
 
 
 @dataclass(frozen=True)

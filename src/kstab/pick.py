@@ -11,7 +11,10 @@ The fit walks k = m, 2m, ..., (n + d + 3)m plus any dilations in mZ the
 caller adds, interpolates the first n + d + 1 samples exactly and holds out
 the rest; the check passes when every sample is reproduced and the top two
 coefficients equal the exact integrals. No float enters, and h must be a
-MultivariatePolynomial.
+MultivariatePolynomial. Each S_k sums h.evaluate over lattice_points(P, k):
+the points share one Fraction per distinct coordinate, and each value of h
+is computed in ints and built as one Fraction; the held-out samples are
+checked by futaki._poly_value, also in ints.
 """
 from __future__ import annotations
 

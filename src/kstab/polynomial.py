@@ -4,8 +4,11 @@ These are the universal value carriers for every closed-form computation in
 the package: weight polynomials, their homogeneous parts, pulled-back
 integrands. Coefficients are ``fractions.Fraction`` throughout; floats are
 rejected at construction so no rounding can sneak into an exact pipeline.
-The module imports no numpy: ``evaluate_float``, the one float method,
-builds its evaluator with ``kstab.graded`` on its first call.
+The exact kernels work in Python ints over one common denominator:
+``evaluate`` clears the point's denominators and builds one Fraction per
+value, and ``substitute_affine`` expands the pullback in integers. The
+module imports no numpy: ``evaluate_float``, the one float method, builds
+its evaluator with ``kstab.graded`` on its first call.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ class MultivariatePolynomial:
     immutable and hashable.
     """
 
-    __slots__ = ("nvars", "_terms", "_canonical", "_floats")
+    __slots__ = ("nvars", "_terms", "_canonical", "_floats", "_ints")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | None = None):
         if nvars < 0:
@@ -64,6 +67,7 @@ class MultivariatePolynomial:
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_canonical", None)
         object.__setattr__(self, "_floats", None)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MultivariatePolynomial is immutable")
@@ -222,18 +226,31 @@ class MultivariatePolynomial:
         return MultivariatePolynomial(self.nvars, terms)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact evaluation at a rational point."""
-        pt = [as_fraction(x) for x in point]
+        """Exact value at a rational point, in integer arithmetic.
+
+        Coordinates are ints, Fractions or 'p/q' strings; a float raises
+        TypeError. With D the lcm of the point's denominators, x = lam / D for
+        an integer vector lam, and the value is
+        sum(c_e lam^e D^(deg - |e|)) / (den D^deg) over the integer
+        coefficients c_e / den of this polynomial (a table built on the first
+        call, once per polynomial). Only the result is a Fraction.
+        """
+        pt = [x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in point]
         if len(pt) != self.nvars:
             raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for exp, coef in self._terms.items():
-            v = coef
-            for x, e in zip(pt, exp):
-                if e:
-                    v *= x**e
+        if self._ints is None:
+            object.__setattr__(self, "_ints", _int_table(self))
+        deg, den, table = self._ints
+        D = math.lcm(*(x.denominator for x in pt))
+        lam = [x.numerator * (D // x.denominator) for x in pt]
+        scale = [D**j for j in range(deg + 1)]
+        total = 0
+        for c, gap, mono in table:
+            v = c * scale[gap]
+            for i, e in mono:
+                v *= lam[i] ** e
             total += v
-        return total
+        return Fraction(total, den * scale[deg])
 
     def evaluate_float(self, point) -> float | np.ndarray:
         """Float value at one point, or at every row of an (m, n) array.
@@ -265,7 +282,22 @@ class MultivariatePolynomial:
         )
 
 
-# -- the integer pullback kernel --------------------------------------------
+# -- integer kernels ----------------------------------------------------------
+
+def _int_table(h: MultivariatePolynomial) -> tuple[int, int, list[tuple[int, int, tuple[tuple[int, int], ...]]]]:
+    """h as (deg, den, [(c, deg - |e|, ((i, e_i) for e_i > 0)), ...]) over ints.
+
+    den is the lcm of the coefficient denominators, so h = sum(c x^e) / den;
+    the zero polynomial gives (0, 1, []).
+    """
+    deg = max(h.degree(), 0)
+    den = math.lcm(*(c.denominator for c in h._terms.values()))
+    table = [
+        (c.numerator * (den // c.denominator), deg - sum(e), tuple((i, a) for i, a in enumerate(e) if a))
+        for e, c in h._terms.items()
+    ]
+    return deg, den, table
+
 
 def _times_line(p: dict[int, int], line: list[tuple[int, int]]) -> dict[int, int]:
     out: dict[int, int] = {}

@@ -464,8 +464,14 @@ def check_walk(P: RationalPolytope, ks: Sequence[int], who: str) -> None:
 
 
 def lattice_points(P: RationalPolytope, k: int) -> list[Point]:
-    """Points of closure(P) intersected with (1/k) Z^n, lexicographic."""
-    return [tuple(Fraction(c, k) for c in pt) for pt in dilated_lattice_points(P, k)]
+    """Points of closure(P) intersected with (1/k) Z^n, lexicographic.
+
+    One Fraction c/k is built per distinct coordinate c of the dilate, and the
+    points share them.
+    """
+    pts = dilated_lattice_points(P, k)
+    coord = {c: Fraction(c, k) for c in {c for pt in pts for c in pt}}.__getitem__
+    return [tuple(map(coord, pt)) for pt in pts]
 
 
 # ---------------------------------------------------------------------------

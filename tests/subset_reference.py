@@ -5,10 +5,10 @@ system with one double-description kernel, ``_extreme_rays``. Both used to
 test every subset of size n instead: of the points, for a hyperplane through
 them that supports the rest, and of the halfspaces, for a feasible
 intersection point. This module keeps those loops, so the tests can compare
-the two on random input, with the Gauss-Jordan kernel ``row_reduce`` that
-they and the other references use for ranks and solves. The vertex loop
-solves each n-subset over the integers instead (``_solve_integer``), by
-Cramer numerators, and builds no Fraction until a vertex is found. The
+the two on random input, and the Gauss-Jordan kernel ``row_reduce`` that the
+other references use for ranks and solves. Both loops work over the integers
+(``_solve_integer``, Cramer numerators): the facet loop builds no Fraction
+until a facet is kept, the vertex loop none until a vertex is found. The
 package needs only determinants, which ``kstab.polytope._det`` computes
 fraction-free.
 """
@@ -79,21 +79,49 @@ def _normal_from_span(diffs: Sequence[Sequence], n: int) -> list[Fraction] | Non
 
 
 def _hull_facets(points: list[Point], n: int) -> list[Halfspace]:
+    """Every hyperplane through n of the points that has all of them on one side.
+
+    The points are scaled to integers by the lcm L of their denominators. The
+    normal through an n-subset is read off its n - 1 difference rows by
+    Cramer's rule (``_solve_integer``) with one coordinate set free, so it is
+    an integer vector, and no Fraction is built until a facet is kept.
+    """
+    fracs = [[as_fraction(x) for x in p] for p in points]
+    L = math.lcm(*(x.denominator for p in fracs for x in p))
+    ints = [[x.numerator * (L // x.denominator) for x in p] for p in fracs]
     facets: set[Halfspace] = set()
-    for subset in combinations(range(len(points)), n):
-        base = points[subset[0]]
-        diffs = [tuple(points[i][c] - base[c] for c in range(n)) for i in subset[1:]]
-        w = _normal_from_span(diffs, n)
+    for subset in combinations(range(len(ints)), n):
+        base = ints[subset[0]]
+        diffs = [[a - b for a, b in zip(ints[i], base)] for i in subset[1:]]
+        w = _integer_normal(diffs, n)
         if w is None:
             continue
-        wp = primitivize(w)
-        c = Fraction(sum(a * b for a, b in zip(wp, base)))
-        vals = [sum(a * b for a, b in zip(wp, p)) - c for p in points]
+        g = math.gcd(*w)
+        wp = tuple(x // g for x in w)
+        c = sum(a * b for a, b in zip(wp, base))
+        vals = [sum(a * b for a, b in zip(wp, p)) - c for p in ints]
         if all(v >= 0 for v in vals):
-            facets.add((wp, c))
+            facets.add((wp, Fraction(c, L)))
         elif all(v <= 0 for v in vals):
-            facets.add((tuple(-x for x in wp), -c))
+            facets.add((tuple(-x for x in wp), Fraction(-c, L)))
     return sorted(facets)
+
+
+def _integer_normal(diffs: Sequence[Sequence[int]], n: int) -> list[int] | None:
+    """A nonzero integer vector orthogonal to n - 1 integer rows, None when they
+    are rank deficient.
+
+    For the first free coordinate j whose complementary columns are
+    nonsingular, the rows' other columns x solve A x = -a_j with x_j = 1;
+    scaled by det A, the normal is the Cramer numerators with det A at j.
+    """
+    for j in range(n - 1, -1, -1):
+        rows = [[*row[:j], *row[j + 1:], -row[j]] for row in diffs]
+        solved = _solve_integer(rows, n - 1)
+        if solved is not None:
+            num, det = solved
+            return [*num[:j], det, *num[j:]]
+    return None
 
 
 def _integer_rows(halfspaces: Sequence[Halfspace]) -> list[list[int]]:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import graded_reference as ref
 from incidence_reference import support_value
 from lemmas import facet_measure
+from strategies import rational_polytopes
 from kstab.futaki import average_scalar
 from kstab.mabuchi import DomainError, PotentialError, SymplecticPotential, mabuchi_eval, scalar_curvature
 from kstab.polynomial import MultivariatePolynomial as Poly
@@ -48,18 +49,6 @@ def _term_scale(u, pts):
     V = np.array([[float(a) for a in v] for v, _ in u.polytope.facets])
     ls = pts @ V.T - np.array([float(c) for _, c in u.polytope.facets])
     return (np.abs(np.log(ls) + 1.0) / 2 * np.abs(V).max(axis=1)).sum(axis=-1)
-
-
-@st.composite
-def rational_polytopes(draw, max_dim=3, min_dim=1):
-    """A full-dimensional polytope with rational vertices (denominators <= 3)."""
-    n = draw(st.integers(min_dim, max_dim))
-    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 2, unique=True))
-    try:
-        return RationalPolytope.from_vertices(pts)
-    except GeometryError:
-        assume(False)
 
 
 @st.composite

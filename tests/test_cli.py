@@ -495,6 +495,14 @@ def test_shipped_pick_reports_match_golden(name, tmp_path):
     assert out.read_bytes() == _golden("pick_%s.json" % name).read_bytes()
 
 
+def test_pick_report_at_large_dilates_matches_golden(tmp_path):
+    """pick on su3_square with the held-out dilates k = 16, 32, byte for byte."""
+    out = tmp_path / "report.json"
+    spec = str(REPO / "specs" / "su3_square.json")
+    assert main(["pick", "--spec", spec, "--kset", "16,32", "--no-meta", "--out", str(out)]) == 0
+    assert out.read_bytes() == _golden("pick_su3_square_kset.json").read_bytes()
+
+
 # Blocks numpy in a fresh interpreter, so that any import of it raises, then
 # runs kstab.cli.main on each argv list given as JSON and prints the exit
 # codes, dims' stdout and the kstab modules loaded.
