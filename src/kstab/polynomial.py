@@ -284,7 +284,7 @@ class MultivariatePolynomial:
 
 # -- integer kernels ----------------------------------------------------------
 
-def _int_table(h: MultivariatePolynomial) -> tuple[int, int, list[tuple[int, int, tuple[tuple[int, int], ...]]]]:
+def _int_table(h: MultivariatePolynomial) -> tuple[int, int, list[tuple[int, int, tuple]]]:
     """h as (deg, den, [(c, deg - |e|, ((i, e_i) for e_i > 0)), ...]) over ints.
 
     den is the lcm of the coefficient denominators, so h = sum(c x^e) / den;
@@ -293,7 +293,8 @@ def _int_table(h: MultivariatePolynomial) -> tuple[int, int, list[tuple[int, int
     deg = max(h.degree(), 0)
     den = math.lcm(*(c.denominator for c in h._terms.values()))
     table = [
-        (c.numerator * (den // c.denominator), deg - sum(e), tuple((i, a) for i, a in enumerate(e) if a))
+        (c.numerator * (den // c.denominator), deg - sum(e),
+         tuple((i, a) for i, a in enumerate(e) if a))
         for e, c in h._terms.items()
     ]
     return deg, den, table

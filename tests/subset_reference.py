@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Sequence
 
 from kstab.polynomial import as_fraction
-from kstab.polytope import Halfspace, Point, primitivize
+from kstab.polytope import Halfspace, Point
 
 
 def row_reduce(

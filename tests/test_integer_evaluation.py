@@ -45,7 +45,8 @@ def polys_and_points(draw):
 @example((Poly(0), []))
 @example((Poly(3), [0, "-1/2", Fraction(2, 3)]))
 @example((Poly.constant(2, Fraction(-7, 3)), [Fraction(1, 4), -5]))
-@example((Poly(2, {(6, 0): Fraction(1, 6), (0, 1): -1, (2, 3): Fraction(5, 4)}), ["-3/4", Fraction(5, 6)]))
+@example((Poly(2, {(6, 0): Fraction(1, 6), (0, 1): -1, (2, 3): Fraction(5, 4)}),
+          ["-3/4", Fraction(5, 6)]))
 def test_evaluate_matches_the_fraction_reference(case):
     h, point = case
     value = h.evaluate(point)
