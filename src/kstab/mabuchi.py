@@ -29,10 +29,16 @@ Potentials, scalar_curvature and el_residual take one point or an
 leading axes. A potential builds its derivative tables once: for each order
 k <= 4, the perturbation's partial derivatives are one float exponent
 matrix and one coefficient matrix (one power product and one matmul
-evaluate them all), and the canonical part is w_k(l) @ c_k v_F^(xk) with the
-facet tensors flattened to (F, n^k). The weight p, q_{N-1}, dp and d2p come
-from one such table. The positive-definiteness check is one stacked
-Cholesky factorization, whose diagonal also gives log det for the energy.
+evaluate them all); an order whose partials are all constants, such as a
+quadratic perturbation's Hessian, is kept as its one coefficient row and
+added as it is. The canonical part is w_k(l) @ c_k v_F^(xk) with the facet
+tensors flattened to (F, n^k). The weight p, q_{N-1}, dp and d2p come from
+one such table. The domain check is one reduction, min l_F > 0, which a NaN
+fails. S and el_residual make one pass over the facets per call: the
+facet values l_F(x) are computed and checked once and shared by hessian,
+d_hessian and d2_hessian. The positive-definiteness check is one stacked
+Cholesky factorization, whose diagonal also gives log det for the energy;
+S still inverts H afterwards (numpy has no Cholesky solve).
 mabuchi_eval evaluates its three integrands on whole chunks of the
 flattened graded rule.
 
@@ -81,6 +87,17 @@ def _partials(g: MultivariatePolynomial, order: int) -> list[MultivariatePolynom
             q = q.partial(i)
         by_multiset[combo] = q
     return [by_multiset[tuple(sorted(c))] for c in product(range(g.nvars), repeat=order)]
+
+
+def _partials_term(table: tuple[np.ndarray, np.ndarray]):
+    """A float_table of partials as _derivative adds it: None when every
+    partial vanishes, the coefficient row when every partial is a constant
+    (the power product of the constant monomial is 1.0, so the sum has the
+    same bits), else the table itself."""
+    exps, coefs = table
+    if not len(exps):
+        return None
+    return coefs[0] if len(exps) == 1 and not exps.any() else table
 
 
 def _cholesky(H: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -141,10 +158,10 @@ class SymplecticPotential:
             powers.append((powers[-1][:, :, None] * V[:, None, :]).reshape(len(V), -1))
         scales = (0.5, 0.5, 0.5, -0.5, 1.0) if canonical else (0.0,) * 5
         self._facet_tensors = [c * a for c, a in zip(scales, powers)]
-        # the perturbation's k-th partials as one table, None when all vanish
+        # the perturbation's k-th partials as one table; None when all vanish,
+        # and the one coefficient row when all are constants (no power product)
         g = perturbation or MultivariatePolynomial(polytope.dim)
-        tables = [float_table(_partials(g, order)) for order in range(5)]
-        self._g = [t if len(t[0]) else None for t in tables]
+        self._g = [_partials_term(float_table(_partials(g, order))) for order in range(5)]
         self.hessian(np.array(interior_grid(polytope, 9)))  # raises when not PD
 
     def _l_values(self, x, allow_boundary: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -158,15 +175,26 @@ class SymplecticPotential:
         if allow_boundary:
             inside = ls >= -self._slack
             ls[ls < 0] = 0.0
+            if inside.all():
+                return x, ls
+        elif not ls.size or ls.min() > 0:  # one reduction, which a NaN fails
+            return x, ls
         else:
             inside = ls > 0
-        if not inside.all():
-            first = x.reshape(-1, x.shape[-1])[inside.all(axis=-1).reshape(-1).argmin()]
-            raise DomainError(
-                "point %r is outside the %s polytope"
-                % (tuple(first.tolist()), "closed" if allow_boundary else "open")
-            )
-        return x, ls
+        first = x.reshape(-1, x.shape[-1])[inside.all(axis=-1).reshape(-1).argmin()]
+        raise DomainError(
+            "point %r is outside the %s polytope"
+            % (tuple(first.tolist()), "closed" if allow_boundary else "open")
+        )
+
+    def _facet_values(self, x, l):
+        """x as floats, l = l_F(x), and the array w_k(l) may be written over:
+        l itself when it is computed and checked here, None (a fresh array)
+        when the caller passes l, checked by _l_values, to share it."""
+        if l is None:
+            x, l = self._l_values(x)
+            return x, l, l
+        return np.asarray(x, dtype=float), l, None
 
     def _derivative(self, x: np.ndarray, order: int, w: np.ndarray) -> np.ndarray:
         """The order-th derivative tensor at x, from w = w_order(l) (..., F):
@@ -178,12 +206,16 @@ class SymplecticPotential:
         """
         T = self._facet_tensors[order]
         out = np.einsum("...f,fk->...k", w, T) if order % 2 else w @ T
-        if self._g[order] is not None:
-            out += evaluate_table(self._g[order], x)
+        g = self._g[order]
+        if g is not None:
+            out += evaluate_table(g, x) if type(g) is tuple else g
         return out.reshape(x.shape[:-1] + x.shape[-1:] * order)[()]
 
-    # The methods below overwrite the fresh array l with w_k(l), so that only
-    # one (..., F) array is alive per chunk of nodes.
+    # The methods below overwrite a fresh array l with w_k(l), so that only
+    # one (..., F) array is alive per chunk of nodes. hessian, d_hessian and
+    # d2_hessian also take l = l_F(x) from _l_values as a second argument,
+    # as _divergence_pg passes it: then l is neither recomputed nor checked
+    # again, and w_k(l) goes to a new array, so the shared l is kept.
 
     def value(self, x, allow_boundary: bool = False):
         x, ls = self._l_values(x, allow_boundary)
@@ -196,21 +228,22 @@ class SymplecticPotential:
         ls += 1.0
         return self._derivative(x, 1, ls)
 
-    def hessian(self, x) -> np.ndarray:
-        x, ls = self._l_values(x)
-        H = self._derivative(x, 2, np.reciprocal(ls, out=ls))
+    def hessian(self, x, l=None) -> np.ndarray:
+        """Second derivatives, checked positive definite (PotentialError)."""
+        x, l, out = self._facet_values(x, l)
+        H = self._derivative(x, 2, np.reciprocal(l, out=out))
         _cholesky(H, x)
         return H
 
-    def d_hessian(self, x) -> np.ndarray:
+    def d_hessian(self, x, l=None) -> np.ndarray:
         """Third derivatives: [..., c, i, j] is d/dx_c of the Hessian entry (i, j)."""
-        x, ls = self._l_values(x)
-        return self._derivative(x, 3, np.power(ls, -2, out=ls))
+        x, l, out = self._facet_values(x, l)
+        return self._derivative(x, 3, np.power(l, -2, out=out))
 
-    def d2_hessian(self, x) -> np.ndarray:
+    def d2_hessian(self, x, l=None) -> np.ndarray:
         """Fourth derivatives: [..., c, d, i, j] is d/dx_c d/dx_d of the Hessian entry (i, j)."""
-        x, ls = self._l_values(x)
-        return self._derivative(x, 4, np.power(ls, -3, out=ls))
+        x, l, out = self._facet_values(x, l)
+        return self._derivative(x, 4, np.power(l, -3, out=out))
 
 
 def interior_grid(P: RationalPolytope, count: int) -> list[tuple[float, ...]]:
@@ -260,14 +293,15 @@ def _divergence_pg(rs: RootSystem, u, x) -> tuple[np.ndarray, np.ndarray, np.nda
 
     with t_j = sum_{c,i} G_ci u_cij and |u_(3)|_G^2 the contraction of u_(3)
     with itself through G on all three index pairs; no second derivative of
-    G is formed. The Hessian comes first, so a point outside the open
-    polytope raises DomainError before p is evaluated.
+    G is formed. The facet values l_F(x) are computed and checked once, and
+    shared by the three derivative calls; the check comes first, so a point
+    outside the open polytope raises DomainError before p is evaluated.
     """
-    G = np.linalg.inv(u.hessian(x))
-    x = np.asarray(x, dtype=float)
+    x, l = u._l_values(x)
+    G = np.linalg.inv(u.hessian(x, l))
     n, batch = x.shape[-1], x.shape[:-1]
-    T = u.d_hessian(x).reshape(batch + (n, n * n))  # u_cij as [c, (i j)]
-    D = u.d2_hessian(x).reshape(batch + (n * n, n * n))  # u_cdij as [(c d), (i j)]
+    T = u.d_hessian(x, l).reshape(batch + (n, n * n))  # u_cij as [c, (i j)]
+    D = u.d2_hessian(x, l).reshape(batch + (n * n, n * n))  # u_cdij as [(c d), (i j)]
     jet = evaluate_table(_weight_data(rs)[2], x)
     pv, q1v, dp, d2p = jet[..., 0], jet[..., 1], jet[..., 2 : 2 + n], jet[..., 2 + n :]
     g = G.reshape(batch + (n * n,))
