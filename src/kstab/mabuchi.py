@@ -212,10 +212,7 @@ class SymplecticPotential:
         return out.reshape(x.shape[:-1] + x.shape[-1:] * order)[()]
 
     # The methods below overwrite a fresh array l with w_k(l), so that only
-    # one (..., F) array is alive per chunk of nodes. hessian, d_hessian and
-    # d2_hessian also take l = l_F(x) from _l_values as a second argument,
-    # as _divergence_pg passes it: then l is neither recomputed nor checked
-    # again, and w_k(l) goes to a new array, so the shared l is kept.
+    # one (..., F) array is alive per chunk of nodes.
 
     def value(self, x, allow_boundary: bool = False):
         x, ls = self._l_values(x, allow_boundary)
@@ -229,19 +226,28 @@ class SymplecticPotential:
         return self._derivative(x, 1, ls)
 
     def hessian(self, x, l=None) -> np.ndarray:
-        """Second derivatives, checked positive definite (PotentialError)."""
+        """Second derivatives, checked positive definite (PotentialError).
+
+        l, when given, is l_F(x) from _l_values, already checked: it is
+        neither recomputed nor written over, so that _divergence_pg shares
+        one l between hessian, d_hessian and d2_hessian. Called alone, the
+        method computes and checks l itself. A perturbation order whose
+        partials are all constants is added as its one coefficient row.
+        """
         x, l, out = self._facet_values(x, l)
         H = self._derivative(x, 2, np.reciprocal(l, out=out))
         _cholesky(H, x)
         return H
 
     def d_hessian(self, x, l=None) -> np.ndarray:
-        """Third derivatives: [..., c, i, j] is d/dx_c of the Hessian entry (i, j)."""
+        """Third derivatives: [..., c, i, j] is d/dx_c of the Hessian entry (i, j).
+        l as in hessian."""
         x, l, out = self._facet_values(x, l)
         return self._derivative(x, 3, np.power(l, -2, out=out))
 
     def d2_hessian(self, x, l=None) -> np.ndarray:
-        """Fourth derivatives: [..., c, d, i, j] is d/dx_c d/dx_d of the Hessian entry (i, j)."""
+        """Fourth derivatives: [..., c, d, i, j] is d/dx_c d/dx_d of the Hessian entry (i, j).
+        l as in hessian."""
         x, l, out = self._facet_values(x, l)
         return self._derivative(x, 4, np.power(l, -3, out=out))
 

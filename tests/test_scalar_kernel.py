@@ -53,7 +53,7 @@ def kernel_cases(draw, max_dim=3):
         for _ in range(draw(st.integers(0, 3))):
             terms[_monomial(draw, n, draw(st.integers(0, degree)))] = draw(coef)
         perturbation = Poly(n, terms)
-    canonical = perturbation is None or draw(st.booleans(), label="canonical") or degree != 2
+    canonical = perturbation is None or degree != 2 or draw(st.booleans(), label="canonical")
     return rs, P, perturbation, canonical
 
 
@@ -120,7 +120,8 @@ SQUARE_POINTS = np.array([[1.5, 1.25], [1.0001, 1.9], [1.3, 1.7]])
      ((1.25, 1.5), SQUARE_POINTS, np.insert(SQUARE_POINTS, 1, [1.0, 1.0], axis=0), (1.0, 1.0))),
 ).via("the float-quadrature potential; l_F = 0 exactly at a vertex")
 @example(
-    ((build_classical("A", 1), RationalPolytope.from_vertices([[1], [3]]), Poly(1, {(3,): Fraction(1, 200)}), True),
+    ((build_classical("A", 1), RationalPolytope.from_vertices([[1], [3]]),
+      Poly(1, {(3,): Fraction(1, 200)}), True),
      ((2.5,), np.array([[1.5], [2.999]]), np.array([[1.5], [np.nan], [2.999]]), (np.nan,))),
 ).via("a cubic: orders 1 and 2 have one monomial each, and it is not constant")
 def test_one_facet_pass_matches_three_passes(case):
