@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("futaki", help="closed-form Futaki invariant, optional lattice oracle")
     p.add_argument("--spec", required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check with lattice counts")
-    p.add_argument("--kmax", type=_positive_int, default=None, help="largest sampled oracle dilate")
+    p.add_argument("--kmax", type=_positive_int, default=None, help="largest positive oracle sample")
     p.add_argument("--R", type=_rational, default=None, help="headroom constant (overrides the spec)")
     add_common(p)
     p.set_defaults(func=_cmd_futaki)

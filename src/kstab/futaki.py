@@ -20,6 +20,12 @@ from the leading coefficients. Exact agreement of the two routes is the
 package's primary self-check. The count fit d(k) = C k^(N+n) + D k^(N+n-1)
 + ... also carries the weighted volume and the average scalar curvature,
 Vol_W = C denom and a = 2 D / C, so a cross-check compares F1, Vol_W and a.
+
+Half the samples are taken at k <= 0, by Ehrhart-Macdonald reciprocity
+(Macdonald, J. London Math. Soc. 1971; Stanley, Adv. Math. 14, 1974): along
+multiples k of the admissible modulus, d(0) = q(0)/denom and w(0) = 0 need no
+walk, and d(-k), w(-k) are signed sums over the interior of k P with
+q(-lambda), which holds far fewer points than the dilate they replace.
 """
 from __future__ import annotations
 
@@ -117,13 +123,29 @@ def futaki_closed_form(
 # lattice-count oracle
 # ---------------------------------------------------------------------------
 
+def _signed_points(P: RationalPolytope, k: int) -> list[tuple[int, ...]]:
+    """The points lambda of k P for k >= 1; for k <= -1 the points -lambda,
+    lambda in the interior of |k| P, at which reciprocity evaluates q."""
+    points = dilated_lattice_points(P, abs(k), interior=k < 0)
+    return points if k > 0 else [tuple(-x for x in lam) for lam in points]
+
+
 def weighted_count_dk(rs: RootSystem, P: RationalPolytope, k: int) -> Fraction:
-    """d_k: dimension of sections at level k, by direct lattice enumeration."""
+    """d_k: dimension of sections at level k, by direct lattice enumeration.
+
+    At k >= 1 this is sum_{lambda in k P} q(lambda) / denom. At k <= 0 it is
+    the value of the polynomial that d_k follows along multiples of the
+    admissible modulus m, for k in m Z, by Ehrhart-Macdonald reciprocity:
+    d(0) = q(0) / denom with no walk, and
+    d(-k) = (-1)^n sum_{lambda in int k P} q(-lambda) / denom.
+    """
     _require_match(rs, P)
+    if k == 0:
+        return Fraction(weyl_eval(rs, (0,) * P.dim), rs.denom)
     total = 0
-    for lam in dilated_lattice_points(P, k):
+    for lam in _signed_points(P, k):
         total += weyl_eval(rs, lam)
-    return Fraction(total, rs.denom)
+    return Fraction(total if k > 0 or P.dim % 2 == 0 else -total, rs.denom)
 
 
 def admissible_modulus(f: PiecewiseAffine, P: RationalPolytope) -> int:
@@ -154,16 +176,25 @@ def weighted_weight_wk(
     does for the coroots. The sum is exact for every k >= 1; it is a
     polynomial in k only along multiples of ``admissible_modulus(f, P)``,
     which ``ehrhart_fit`` samples.
+
+    At k <= 0, for k in that progression, the value is the polynomial's, by
+    Ehrhart-Macdonald reciprocity: w(0) = 0, and
+    w(-k) = (-1)^(n+1) sum_{lambda in int k P} q(-lambda) k (R - f(lambda/k)) / denom.
+    The walk then visits mu = -lambda, with the gradients negated so that
+    each piece still reads <L a_i, lambda> + k L b_i.
     """
     _require_match(rs, P)
     R = as_fraction(R)
+    if k == 0:
+        return Fraction(0)
+    K, sign = abs(k), 1 if k > 0 else -1
     L = f.denominator_lcm
     pieces = [
-        (int(k * L * b), tuple((j, int(L * x)) for j, x in enumerate(a) if x))
+        (int(K * L * b), tuple((j, sign * int(L * x)) for j, x in enumerate(a) if x))
         for a, b in f.pieces
     ]
     sum_q = sum_qf = 0
-    for lam in dilated_lattice_points(P, k):
+    for lam in _signed_points(P, k):
         q = weyl_eval(rs, lam)
         sum_q += q
         top = None
@@ -173,7 +204,8 @@ def weighted_weight_wk(
             if top is None or v > top:
                 top = v
         sum_qf += q * top
-    return (k * R * sum_q - Fraction(sum_qf, L)) / rs.denom
+    w = (K * R * sum_q - Fraction(sum_qf, L)) / rs.denom
+    return w if k > 0 or P.dim % 2 else -w
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +253,11 @@ def _poly_value(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class EhrhartFit:
-    """Interpolated count and weight polynomials with extracted leaders."""
+    """Interpolated count and weight polynomials with extracted leaders.
+
+    ``ks`` holds the positive samples in ascending order and ``reciprocal_ks``
+    the samples 0, -m, -2m, ... whose values come from interior walks.
+    """
 
     ks: tuple[int, ...]
     d_values: tuple[Fraction, ...]
@@ -234,12 +270,18 @@ class EhrhartFit:
     D: Fraction
     F0: Fraction
     F1: Fraction
+    reciprocal_ks: tuple[int, ...] = ()
+    reciprocal_d_values: tuple[Fraction, ...] = ()
+    reciprocal_w_values: tuple[Fraction, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
             "k": list(self.ks),
             "d_k": [format_fraction(v) for v in self.d_values],
             "w_k": [format_fraction(v) for v in self.w_values],
+            "k_reciprocal": list(self.reciprocal_ks),
+            "d_k_reciprocal": [format_fraction(v) for v in self.reciprocal_d_values],
+            "w_k_reciprocal": [format_fraction(v) for v in self.reciprocal_w_values],
             "d_poly": [format_fraction(c) for c in self.d_coeffs],
             "w_poly": [format_fraction(c) for c in self.w_coeffs],
             "A": format_fraction(self.A),
@@ -275,31 +317,40 @@ def ehrhart_fit(
 ) -> EhrhartFit:
     """Fit d(k) and w(k) exactly from lattice sums and extract F0, F1.
 
-    Samples k = m, 2m, ... for the admissible modulus m: N + n + 3 of them,
-    or every multiple of m up to ``kmax`` when that is more. Held-out
-    samples are predicted exactly or the fit is rejected. Walks over more
-    than MAX_WALK_POINTS bounding-box lattice points are refused up front.
+    Samples k = m, 2m, ..., K m for the admissible modulus m, with
+    K = max(ceil((N + n + 2)/2), kmax // m), and, while that is fewer than
+    N + n + 3 samples, the reciprocal samples 0, -m, -2m, ... up to N + n + 3:
+    d and w at k <= 0 cost no walk (k = 0) or an interior walk of |k| P,
+    which is far smaller than the dilate they replace. The fit interpolates
+    the samples in ascending order; held-out samples are predicted exactly
+    or the fit is rejected. Walks over more than MAX_WALK_POINTS
+    bounding-box lattice points are refused up front.
     """
     _require_match(rs, P)
     _require_positive_chamber(P)
     R = as_fraction(R)
     N, n = rs.num_positive_roots, rs.rank
     m = admissible_modulus(f, P)
-    count = N + n + 3 if kmax is None else max(N + n + 3, kmax // m)
+    count = max((N + n + 3) // 2, 0 if kmax is None else kmax // m)
     ks = range(m, m * count + 1, m)
-    check_walk(P, ks, "the oracle (admissible modulus %d)" % m)
-    d_vals = [weighted_count_dk(rs, P, k) for k in ks]
-    w_vals = [weighted_weight_wk(rs, P, f, R, k) for k in ks]
-    d_coeffs = _fit_progression(ks, d_vals, m, N + n, "count")
-    w_coeffs = _fit_progression(ks, w_vals, m, N + n + 1, "weight")
+    reciprocal = tuple(range(0, -m * (N + n + 3 - count), -m))
+    # A huge kmax leaves no reciprocal sample, and check_walk estimates a range.
+    walks = [*ks, *reciprocal[1:]] if reciprocal else ks
+    check_walk(P, walks, "the oracle (admissible modulus %d)" % m)
+    samples = [*reversed(reciprocal), *ks]
+    d_vals = [weighted_count_dk(rs, P, k) for k in samples]
+    w_vals = [weighted_weight_wk(rs, P, f, R, k) for k in samples]
+    d_coeffs = _fit_progression(samples, d_vals, m, N + n, "count")
+    w_coeffs = _fit_progression(samples, w_vals, m, N + n + 1, "weight")
     A, B = w_coeffs[-1], w_coeffs[-2]
     C, D = d_coeffs[-1], d_coeffs[-2]
     if C == 0:
         raise ArithmeticError("degenerate fit: vanishing leading count coefficient")
+    r = len(reciprocal)
     return EhrhartFit(
         ks=tuple(ks),
-        d_values=tuple(d_vals),
-        w_values=tuple(w_vals),
+        d_values=tuple(d_vals[r:]),
+        w_values=tuple(w_vals[r:]),
         d_coeffs=d_coeffs,
         w_coeffs=w_coeffs,
         A=A,
@@ -308,6 +359,9 @@ def ehrhart_fit(
         D=D,
         F0=A / C,
         F1=(B * C - A * D) / (C * C),
+        reciprocal_ks=reciprocal,
+        reciprocal_d_values=tuple(reversed(d_vals[:r])),
+        reciprocal_w_values=tuple(reversed(w_vals[:r])),
     )
 
 

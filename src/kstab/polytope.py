@@ -373,22 +373,27 @@ def facet_chart(P: RationalPolytope, facet_index: int) -> FacetChart:
 # lattice point enumeration
 # ---------------------------------------------------------------------------
 
-def dilated_lattice_points(P: RationalPolytope, k: int) -> list[IntVec]:
-    """Integer points of the dilate k*P, in lexicographic order.
+def dilated_lattice_points(P: RationalPolytope, k: int, interior: bool = False) -> list[IntVec]:
+    """Integer points of the dilate k*P, or of its interior, in lexicographic order.
 
     Walks bounding-box slabs over the leading coordinates and intersects the
-    halfspace constraints exactly on the last coordinate.
+    halfspace constraints exactly on the last coordinate. The interior walk
+    is the same walk with every inequality strict: on integers,
+    den * <v, x> > k * num is den * <v, x> >= k * num + 1.
     """
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
     n = P.dim
-    # Integer constraint data: den * <v, x> >= k * num.
+    # Integer constraint data: den * <v, x> >= k * num (+ 1 for the interior).
     constraints = []
     for v, c in P.facets:
-        constraints.append((v, c.numerator * k, c.denominator))
+        constraints.append((v, c.numerator * k + int(interior), c.denominator))
     box = []
     for lo, hi in P.bounding_box():
-        box.append((math.ceil(lo * k), math.floor(hi * k)))
+        if interior:
+            box.append((math.floor(lo * k) + 1, math.ceil(hi * k) - 1))
+        else:
+            box.append((math.ceil(lo * k), math.floor(hi * k)))
     if any(lo > hi for lo, hi in box):
         return []
 
@@ -434,16 +439,19 @@ def check_walk(P: RationalPolytope, ks: Sequence[int], who: str) -> None:
     """Refuse up front to walk more than MAX_WALK_POINTS bounding-box lattice
     points over the dilates k P, k in ks (a sequence or a range).
 
-    Box counts are summed exactly, and only until the total passes the
-    limit. The message then adds the dilates not yet counted: exactly for a
-    sequence, which the caller has already built, and as box volume times
-    sum k^n for a range, so that even a huge range costs a few dilates. The
-    estimate is printed without a float.
+    A negative k stands for the interior walk of |k| P, which counts the
+    strict box; k = 0 walks nothing. Box counts are summed exactly, and only
+    until the total passes the limit. The message then adds the dilates not
+    yet counted: exactly for a sequence, which the caller has already built,
+    and as box volume times sum k^n for a range of positive k, so that even a
+    huge range costs a few dilates. The estimate is printed without a float.
     """
     box = P.bounding_box()
 
     def count(k: int) -> int:
-        return math.prod(max(0, math.floor(hi * k) - math.ceil(lo * k) + 1) for lo, hi in box)
+        if k > 0:
+            return math.prod(max(0, math.floor(hi * k) - math.ceil(lo * k) + 1) for lo, hi in box)
+        return math.prod(max(0, math.ceil(-hi * k) - math.floor(-lo * k) - 1) for lo, hi in box)
 
     points = 0
     for i, k in enumerate(ks):

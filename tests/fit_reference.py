@@ -1,12 +1,15 @@
 """The Ehrhart fit with caller-chosen samples, kept as the reference for the fit.
 
 ``kstab.futaki.ehrhart_fit`` chooses its own samples, k = m, 2m, ... for the
-admissible modulus m, and fits d(k) and w(k) through one helper. This module
-keeps the fit that took explicit ``samples`` and a ``modulus`` from its caller,
-fitted d(k) in k and w(k) in k/m, and padded the coefficient lists. The only
-edit is that ``weighted_weight_wk`` no longer takes ``modulus``.
-``cross_check_samples`` is the sampling rule that ``futaki_cross_check`` used
-to apply before it called this fit.
+admissible modulus m, with the reciprocal samples 0, -m, -2m, ... (interior
+walks, by Ehrhart-Macdonald reciprocity) making up N + n + 3 of them, and fits
+d(k) and w(k) through one helper. This module keeps the fit that took
+explicit positive ``samples`` and a ``modulus`` from its caller, walked every
+sample's full dilate, fitted d(k) in k and w(k) in k/m, and padded the
+coefficient lists. The only edit is that ``weighted_weight_wk`` no longer
+takes ``modulus``. ``cross_check_samples`` is the sampling rule that
+``futaki_cross_check`` used to apply before it called this fit: positive
+samples only, N + n + 3 of them or every multiple of m up to ``kmax``.
 """
 from __future__ import annotations
 

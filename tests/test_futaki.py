@@ -140,8 +140,9 @@ def test_admissible_modulus(rs_a1, interval_12, f_identity, f_kink):
     # the kink at 3/2 forces even sampling even though coefficients are integral
     assert admissible_modulus(f_kink, interval_12) == 2
     # R = 7/3 does not enter: w_k(R) = w_k(0) + R k d_k is a polynomial
-    # along the multiples of 1
-    assert ehrhart_fit(rs_a1, interval_12, f_identity, Fraction(7, 3)).ks == (1, 2, 3, 4, 5)
+    # along the multiples of 1; N + n + 3 = 5 samples, two of them positive
+    fit = ehrhart_fit(rs_a1, interval_12, f_identity, Fraction(7, 3))
+    assert (fit.ks, fit.reciprocal_ks) == ((1, 2), (0, -1, -2))
 
 
 @pytest.mark.parametrize(
@@ -247,16 +248,18 @@ def test_cross_check_suite(rs_a1, rs_a2, interval_12, interval_13, square_11_22,
         assert report.F1_closed == report.F1_oracle
 
 
-CROSS_CHECK_SYSTEMS = {1: [("A", 1)], 2: [("A", 2), ("B", 2), ("G2", 2)]}
+CROSS_CHECK_SYSTEMS = {1: [("A", 1)], 2: [("A", 2), ("B", 2), ("G2", 2)], 3: [("A", 3), ("B", 3)]}
 
 
 @st.composite
 def cross_check_cases(draw):
-    """A lattice polytope in the open positive chamber (coordinates 1-4),
-    a convex PL f with small integer gradients and offsets, an integer R
-    and a root system of the polytope's dimension."""
-    n = draw(st.integers(1, 2))
-    pts = draw(st.lists(st.tuples(*[st.integers(1, 4)] * n), min_size=n + 1, max_size=n + 3))
+    """A lattice polytope in the open positive chamber (coordinates 1-4 in
+    dimensions 1 and 2, 1-2 in dimension 3), a convex PL f with small integer
+    gradients and offsets, an integer R and a root system of the polytope's
+    dimension."""
+    n = draw(st.integers(1, 3))
+    coord = st.integers(1, 4 if n < 3 else 2)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 3))
     try:
         P = RationalPolytope.from_vertices(pts)
     except GeometryError:
@@ -282,9 +285,11 @@ def test_cross_check_agrees_on_random_lattice_polytopes(case):
 @settings(max_examples=20, deadline=None)
 @given(cross_check_cases(), st.none() | st.tuples(st.integers(1, 2), st.integers(0, 1)))
 def test_ehrhart_fit_matches_reference_on_random_lattice_polytopes(case, more):
-    """Every field of the fit equals the explicit-samples reference, by default
-    (``more`` is None) and with a kmax that asks for 1-2 samples beyond
-    N + n + 3, on or just past a multiple of the modulus."""
+    """The fit equals the explicit-samples reference on k = m, 2m, ...: by
+    default (``more`` is None) in its polynomials and leaders, with its
+    positive samples a prefix of the reference's; with a kmax that asks for
+    1-2 samples beyond N + n + 3, on or just past a multiple of the modulus,
+    in every field, since such a kmax leaves no reciprocal sample."""
     rs, P, f, R = case
     m = admissible_modulus(f, P)
     kmax = None
@@ -294,7 +299,15 @@ def test_ehrhart_fit_matches_reference_on_random_lattice_polytopes(case, more):
     ref = fit_reference.ehrhart_fit(
         rs, P, f, R, fit_reference.cross_check_samples(rs, m, kmax), modulus=m
     )
-    assert ehrhart_fit(rs, P, f, R, kmax) == ref
+    fit = ehrhart_fit(rs, P, f, R, kmax)
+    if kmax is not None:
+        assert fit == ref
+        return
+    fields = ("d_coeffs", "w_coeffs", "A", "B", "C", "D", "F0", "F1")
+    assert [getattr(fit, name) for name in fields] == [getattr(ref, name) for name in fields]
+    count = len(fit.ks)
+    assert (fit.ks, fit.d_values, fit.w_values) == (ref.ks[:count], ref.d_values[:count], ref.w_values[:count])
+    assert count + len(fit.reciprocal_ks) == len(ref.ks)
 
 
 # Most drawn cases have f > R - 1 somewhere, so the assume below discards
@@ -348,9 +361,34 @@ def test_routes_and_pick_agree_on_random_rational_polytopes(case, R):
     assert pick_check(P, h)[0] is True
 
 
+@st.composite
+def reciprocity_cases(draw):
+    """A ``cross_check_cases`` draw, or a ``rational_cases`` draw (h left
+    out) with a rational R of denominator <= 3."""
+    if draw(st.booleans()):
+        return draw(cross_check_cases())
+    rs, P, f, _ = draw(rational_cases())
+    return rs, P, f, draw(st.fractions(min_value=0, max_value=4, max_denominator=3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(reciprocity_cases())
+def test_reciprocal_samples_lie_on_the_positive_fit(case):
+    """Ehrhart-Macdonald reciprocity: at k = 0, -m, -2m the count and weight
+    sums (no walk at 0, interior walks of |k| P below) equal the reference
+    fit through k = m, 2m, ..., (N + n + 3) m, evaluated at k."""
+    rs, P, f, R = case
+    m = admissible_modulus(f, P)
+    ref = fit_reference.ehrhart_fit(rs, P, f, R, modulus=m)
+    for k in (0, -m, -2 * m):
+        assert weighted_count_dk(rs, P, k) == futaki._poly_value(ref.d_coeffs, Fraction(k))
+        assert weighted_weight_wk(rs, P, f, R, k) == futaki._poly_value(ref.w_coeffs, Fraction(k))
+
+
 def test_routes_and_pick_agree_on_a_rational_a3_simplex():
     """A simplex with vertex denominators 2 and a kink at x_1 = x_2 + 1/2:
-    the oracle samples k = 2, 4, ..., 24 and pick k = 2, 4, ..., 14."""
+    the oracle samples k = 2, 4, ..., 12 and k = 0, -2, ..., -10, and pick
+    k = 2, 4, ..., 14."""
     half = Fraction(1, 2)
     P = RationalPolytope.from_vertices(
         [(half, half, half), (2, half, half), (half, 2, half), (half, half, 2)]
@@ -358,7 +396,8 @@ def test_routes_and_pick_agree_on_a_rational_a3_simplex():
     f = PiecewiseAffine.from_pieces([((1, 0, 0), 0), ((0, 1, 0), half)])
     report = futaki_cross_check(build_classical("A", 3), P, f, 3)
     assert report.agreement is True
-    assert report.oracle_details.ks == tuple(range(2, 25, 2))
+    assert report.oracle_details.ks == tuple(range(2, 13, 2))
+    assert report.oracle_details.reciprocal_ks == tuple(range(0, -11, -2))
     passed, fit = pick_check(P, Poly.variable(3, 0) + Poly.variable(3, 2))
     assert passed is True
     assert fit.ks == tuple(range(2, 15, 2))

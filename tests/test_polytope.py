@@ -24,9 +24,11 @@ import bounded_reference
 import chart_reference
 import incidence_reference
 import subset_reference
+import walk_reference
 from conftest import slanted_facet_index
 from incidence_reference import affine_rank
 from lemmas import facet_lattice_count, facet_measure, lift_polytope, transform
+from strategies import rational_polytopes
 from subset_reference import row_reduce
 
 
@@ -442,6 +444,15 @@ def test_lattice_walk_matches_brute_force(unit_square, triangle_23, simplex_235)
     for P in (unit_square, triangle_23, simplex_235):
         for k in (1, 2, 3):
             assert dilated_lattice_points(P, k) == brute_force_dilated_points(P, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_polytopes(max_dim=4), st.integers(1, 6))
+def test_interior_walk_matches_the_filtered_closed_walk(P, k):
+    """The strict walk (each integer constraint tightened by one, the box
+    bounds strict) finds exactly the closed walk's points that satisfy every
+    facet inequality strictly, in the same order."""
+    assert dilated_lattice_points(P, k, interior=True) == walk_reference.interior_lattice_points(P, k)
 
 
 def test_ehrhart_polynomiality(unit_square, triangle_23):
