@@ -373,6 +373,15 @@ def facet_chart(P: RationalPolytope, facet_index: int) -> FacetChart:
 # lattice point enumeration
 # ---------------------------------------------------------------------------
 
+def _dilated_box(
+    box: Sequence[tuple[Fraction, Fraction]], k: int, interior: bool
+) -> list[tuple[int, int]]:
+    """Integer bounds of the bounding box of k P, or the strict ones of its interior."""
+    if interior:
+        return [(math.floor(lo * k) + 1, math.ceil(hi * k) - 1) for lo, hi in box]
+    return [(math.ceil(lo * k), math.floor(hi * k)) for lo, hi in box]
+
+
 def dilated_lattice_points(P: RationalPolytope, k: int, interior: bool = False) -> list[IntVec]:
     """Integer points of the dilate k*P, or of its interior, in lexicographic order.
 
@@ -388,12 +397,7 @@ def dilated_lattice_points(P: RationalPolytope, k: int, interior: bool = False) 
     constraints = []
     for v, c in P.facets:
         constraints.append((v, c.numerator * k + int(interior), c.denominator))
-    box = []
-    for lo, hi in P.bounding_box():
-        if interior:
-            box.append((math.floor(lo * k) + 1, math.ceil(hi * k) - 1))
-        else:
-            box.append((math.ceil(lo * k), math.floor(hi * k)))
+    box = _dilated_box(P.bounding_box(), k, interior)
     if any(lo > hi for lo, hi in box):
         return []
 
@@ -449,9 +453,7 @@ def check_walk(P: RationalPolytope, ks: Sequence[int], who: str) -> None:
     box = P.bounding_box()
 
     def count(k: int) -> int:
-        if k > 0:
-            return math.prod(max(0, math.floor(hi * k) - math.ceil(lo * k) + 1) for lo, hi in box)
-        return math.prod(max(0, math.ceil(-hi * k) - math.floor(-lo * k) - 1) for lo, hi in box)
+        return math.prod(max(0, hi - lo + 1) for lo, hi in _dilated_box(box, abs(k), k <= 0))
 
     points = 0
     for i, k in enumerate(ks):

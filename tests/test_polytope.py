@@ -1,5 +1,6 @@
 """Hulls, lattice walks, facet charts and transforms, all exact."""
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -685,3 +686,21 @@ def test_check_walk_counts_a_range_and_its_tuple_alike():
     assert messages[0] == messages[1]
     assert "~4.0e+10 bounding-box lattice points over 999 dilates" in messages[0]
     polytope.check_walk(P, range(4, 200, 4), "walk")  # 4,877,999 points: allowed
+
+
+@pytest.mark.parametrize(
+    "ks, estimate",
+    [((0,), None), ((-3,), "4.0e+0"), ((3,), "5.0e+0"), ((3, -3, 0), "9.0e+0")],
+)
+def test_check_walk_counts_interior_walks_by_their_strict_boxes(monkeypatch, ks, estimate):
+    """On [1/2, 2], the dilate 3P = [3/2, 6] holds the 5 points 2, ..., 6 and
+    its interior the 4 of the strict box 2, ..., 5; k = 0 walks nothing."""
+    P = RationalPolytope.from_vertices([[Fraction(1, 2)], [2]])
+    assert len(dilated_lattice_points(P, 3, interior=True)) == 4
+    monkeypatch.setattr(polytope, "MAX_WALK_POINTS", 0)
+    if estimate is None:
+        polytope.check_walk(P, ks, "walk")
+        return
+    message = "~%s bounding-box lattice points over %d dilates" % (estimate, len(ks))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        polytope.check_walk(P, ks, "walk")
