@@ -1,6 +1,5 @@
 """Hulls, lattice walks, facet charts and transforms, all exact."""
 import math
-import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -701,6 +700,6 @@ def test_check_walk_counts_interior_walks_by_their_strict_boxes(monkeypatch, ks,
     if estimate is None:
         polytope.check_walk(P, ks, "walk")
         return
-    message = "~%s bounding-box lattice points over %d dilates" % (estimate, len(ks))
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError) as info:
         polytope.check_walk(P, ks, "walk")
+    assert "~%s bounding-box lattice points over %d dilates" % (estimate, len(ks)) in str(info.value)
