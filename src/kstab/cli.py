@@ -31,7 +31,7 @@ from .rootsystem import (
     dh_weight,
     dimension,
 )
-from .specio import SCHEMA, SpecError, load_jobspec, load_potential, parse_polynomial, parse_rational
+from .specio import SCHEMA, SpecError, load_jobspec, load_potential, parse_polynomial
 
 CONVENTIONS = {
     "schema": SCHEMA,
@@ -85,14 +85,6 @@ def _grid_size(text: str) -> int:
     return value
 
 
-def _rational(text: str) -> Fraction:
-    """An integer or 'p/q', by the spec's rules for rationals."""
-    try:
-        return parse_rational(text, "")
-    except SpecError:
-        raise argparse.ArgumentTypeError("cannot parse rational %r" % text) from None
-
-
 def _node_count(text: str) -> int:
     value = _positive_int(text)
     if value < 2:
@@ -136,14 +128,13 @@ def _cmd_futaki(args) -> int:
     spec = load_jobspec(args.spec)
     if spec.pl_function is None:
         raise SpecError("spec.pl_function: required by the futaki command")
-    R = args.R if args.R is not None else spec.R
     if not args.oracle:
         res = closed_form_report(spec.root_system, spec.polytope, spec.pl_function)
-    elif R is None:
+    elif spec.R is None:
         raise SpecError("spec.R: required when the oracle runs")
     else:
         res = futaki_cross_check(
-            spec.root_system, spec.polytope, spec.pl_function, R, kmax=args.kmax
+            spec.root_system, spec.polytope, spec.pl_function, spec.R, kmax=args.kmax
         )
     _write_report({"command": "futaki", **res.to_json_dict()}, args.out, args.no_meta)
     print("F1_closed = %s" % format_fraction(res.F1_closed))
@@ -280,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check with lattice counts")
     p.add_argument("--kmax", type=_positive_int, default=None, help="largest positive oracle sample")
-    p.add_argument("--R", type=_rational, default=None, help="headroom constant (overrides the spec)")
     add_common(p)
     p.set_defaults(func=_cmd_futaki)
 
@@ -326,7 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # every input error class derives from ValueError
+    except (ValueError, OSError) as exc:  # input errors; OSError: an unwritable output path
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -198,18 +198,6 @@ class MultivariatePolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = MultivariatePolynomial.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     # -- calculus and structure --------------------------------------------
 
     def partial(self, i: int) -> "MultivariatePolynomial":

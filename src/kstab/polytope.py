@@ -514,8 +514,6 @@ class PiecewiseAffine:
         pt = [as_fraction(t) for t in x]
         return max(sum(a * t for a, t in zip(piece, pt)) + b for piece, b in self.pieces)
 
-    __call__ = value
-
     @property
     def denominator_lcm(self) -> int:
         """lcm of all coefficient denominators (the global denominator m)."""

@@ -79,29 +79,6 @@ class RootSystem:
         )
         object.__setattr__(self, "_weyl_factors", factors)
 
-    @classmethod
-    def from_m_vectors(cls, vectors: Sequence[Sequence[int]]) -> "RootSystem":
-        vecs = sorted(tuple(int(x) for x in v) for v in vectors)
-        if not vecs:
-            raise RootSystemError("no positive roots given")
-        rank = len(vecs[0])
-        if any(len(v) != rank for v in vecs):
-            raise RootSystemError("coroot vectors of mixed length")
-        if any(any(x < 0 for x in v) for v in vecs) or any(
-            all(x == 0 for x in v) for v in vecs
-        ):
-            raise RootSystemError("coroot vectors must be nonzero and nonnegative")
-        if len(set(vecs)) != len(vecs):
-            raise RootSystemError("duplicate coroot vectors")
-        for j in range(rank):
-            basis = tuple(int(i == j) for i in range(rank))
-            if basis not in vecs:
-                raise RootSystemError("simple coroot e_%d missing" % (j + 1))
-        if len(vecs) < rank:
-            raise RootSystemError("fewer positive roots than the rank")
-        denom = math.prod(sum(v) for v in vecs)
-        return cls(rank=rank, positive_roots=tuple(vecs), denom=denom)
-
     @property
     def num_positive_roots(self) -> int:
         return len(self.positive_roots)
@@ -154,6 +131,8 @@ def _validate_cartan(C: Sequence[Sequence[int]]) -> list[list[int]]:
     if not isinstance(C, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in C):
         raise RootSystemError("Cartan matrix must be a list of rows")
     n = len(C)
+    if n == 0:
+        raise RootSystemError("Cartan matrix is empty")
     _check_rank(n)
     bad = [x for row in C for x in row if not isinstance(x, int) or isinstance(x, bool)]
     if bad:
@@ -243,7 +222,8 @@ def _closure_root_system(C: Sequence[Sequence[int]]) -> RootSystem:
     """
     n = len(C)
     dual = [[C[j][i] for j in range(n)] for i in range(n)]
-    return RootSystem.from_m_vectors(_positive_root_closure(dual))
+    roots = _positive_root_closure(dual)
+    return RootSystem(rank=n, positive_roots=tuple(roots), denom=math.prod(map(sum, roots)))
 
 
 def build_from_cartan(cartan: Sequence[Sequence[int]]) -> RootSystem:

@@ -53,19 +53,7 @@ def parse_rational(value, where: str) -> Fraction:
 
 
 def parse_root_system(data, where: str = "root_system") -> RootSystem:
-    _check_keys(data, where, ("series", "rank", "cartan", "m_vectors"))
-    if "m_vectors" in data:
-        vectors = data["m_vectors"]
-        if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
-            raise SpecError("%s.m_vectors: expected a list of integer vectors" % where)
-        vectors = [
-            [parse_int(x, "%s.m_vectors[%d][%d]" % (where, i, j)) for j, x in enumerate(v)]
-            for i, v in enumerate(vectors)
-        ]
-        try:
-            return RootSystem.from_m_vectors(vectors)
-        except ValueError as exc:
-            raise SpecError("%s.m_vectors: %s" % (where, exc)) from None
+    _check_keys(data, where, ("series", "rank", "cartan"))
     if "cartan" in data:
         try:
             return build_from_cartan(data["cartan"])
@@ -132,11 +120,11 @@ def parse_pl_function(data, where: str = "pl_function") -> PiecewiseAffine:
         raise SpecError("%s: %s" % (where, exc)) from None
 
 
-def parse_polynomial(data, where: str, dim: int | None = None) -> MultivariatePolynomial:
-    """A polynomial object; with ``dim``, its ``nvars`` must equal it."""
+def parse_polynomial(data, where: str, dim: int) -> MultivariatePolynomial:
+    """A polynomial object whose ``nvars`` must equal ``dim``, the polytope dimension."""
     _check_keys(data, where, ("nvars", "terms"))
     nvars = parse_int(data.get("nvars"), "%s.nvars" % where)
-    if dim is not None and nvars != dim:
+    if nvars != dim:
         raise SpecError(
             "%s.nvars: expected %d, the polytope dimension, got %d" % (where, dim, nvars)
         )

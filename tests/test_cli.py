@@ -223,22 +223,21 @@ def _exit_code(argv) -> int:
             id="dims-rank-over-limit",
         ),
         pytest.param(
-            dict(SU3_SPEC, root_system={"m_vectors": [[1, 0], [0, 1], [1.5, 1]]}),
-            ["futaki", "--oracle"],
-            "root_system.m_vectors[2][0]: expected an integer, got 1.5",
-            id="m-vectors-float",
+            # nonnegative vectors holding the basis, but no root system: dimension (1, 0) = 8/3
+            dict(SU3_SPEC, root_system={"m_vectors": [[1, 0], [0, 1], [1, 2]]}),
+            ["futaki"],
+            "root_system: unknown key 'm_vectors'",
+            id="m-vectors-key",
         ),
         pytest.param(
-            dict(SU2_SPEC, root_system={"m_vectors": [["1"]]}),
+            dict(SU2_SPEC, root_system={"cartan": []}),
             ["futaki"],
-            "root_system.m_vectors[0][0]: expected an integer, got '1'",
-            id="m-vectors-string",
+            "root_system.cartan: Cartan matrix is empty",
+            id="spec-cartan-empty",
         ),
         pytest.param(
-            dict(SU2_SPEC, root_system={"m_vectors": [[True]]}),
-            ["futaki"],
-            "root_system.m_vectors[0][0]: expected an integer, got True",
-            id="m-vectors-bool",
+            SU2_SPEC, ["dims", "--cartan", "[]", "--lambda", "1"], "Cartan matrix is empty",
+            id="dims-cartan-empty",
         ),
         pytest.param(
             _pick_h(2, [1.5, 0]),
@@ -363,9 +362,15 @@ def _exit_code(argv) -> int:
                      id="kset-float"),
         pytest.param(SU2_SPEC, ["pick", "--kset", "4,,8"], "argument --kset: expected comma-separated",
                      id="kset-empty-entry"),
-        pytest.param(SU3_SPEC, ["futaki", "--R", "1/0"], "--R: cannot parse rational '1/0'", id="R-div0"),
-        pytest.param(SU3_SPEC, ["futaki", "--oracle", "--R", "1/0"], "--R: cannot", id="oracle-R-div0"),
-        pytest.param(SU3_SPEC, ["futaki", "--R", "abc"], "--R: cannot parse rational 'abc'", id="R-abc"),
+        pytest.param(SU3_SPEC, ["futaki", "--R", "2"], "unrecognized arguments: --R 2", id="R-option"),
+        pytest.param(
+            SU3_SPEC, ["futaki", "--out", "missing/dir/r.json"], "missing/dir/r.json",
+            id="futaki-out-unwritable",
+        ),
+        pytest.param(
+            SU2_SPEC, ["mabuchi", "--quad-depth", "2", "--residuals", "missing/r.csv"], "missing/r.csv",
+            id="mabuchi-residuals-unwritable",
+        ),
         pytest.param(SU2_SPEC, ["mabuchi", "--quad-depth", "0"], "argument --quad-depth: must be >= 1",
                      id="quad-depth-0"),
         pytest.param(SU2_SPEC, ["mabuchi", "--quad-nodes", "1"],

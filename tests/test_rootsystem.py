@@ -135,6 +135,8 @@ def test_invalid_cartan_matrices():
         build_from_cartan([[2, -3], [-3, 2]])  # indefinite
     with pytest.raises(RootSystemError):
         build_from_cartan([[1]])
+    with pytest.raises(RootSystemError, match="Cartan matrix is empty"):
+        build_from_cartan([])
 
 
 def test_unsupported_series_rank():
@@ -315,8 +317,35 @@ def test_weight_polynomials_positive_on_positive_points():
             assert p.evaluate(x) > 0
 
 
-def test_simple_coroots_required():
-    from kstab.rootsystem import RootSystem
+def _assert_closure_invariants(rs):
+    """What a hand-given coroot list once had to be checked for, as a property of the closure."""
+    n, vecs = rs.rank, rs.positive_roots
+    assert all(len(v) == n for v in vecs)
+    assert all(tuple(int(i == j) for i in range(n)) in vecs for j in range(n))
+    assert all(x >= 0 for v in vecs for x in v)
+    assert all(any(v) for v in vecs)
+    assert len(set(vecs)) == len(vecs) >= n
+    assert rs.denom == math.prod(sum(v) for v in vecs)
 
-    with pytest.raises(RootSystemError):
-        RootSystem.from_m_vectors([(1, 0), (1, 1)])  # e_2 missing
+
+def test_classical_closure_invariants():
+    """Series A-D at ranks 1-8 (D from 2, its least rank), G2 and F4."""
+    cases = [(s, n) for s in "ABC" for n in range(1, 9)] + [("D", n) for n in range(2, 9)]
+    for series, rank in cases + [("G2", 2), ("F4", 4)]:
+        _assert_closure_invariants(build_classical(series, rank))
+
+
+_BLOCKS = [(s, n) for s in "ABC" for n in range(1, 5)] + [("D", 3), ("D", 4), ("G2", 2), ("F4", 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_BLOCKS), st.sampled_from(_BLOCKS))
+def test_block_diagonal_closure_invariants(first, second):
+    """A reducible matrix closes to the two blocks' roots, each padded with zeros."""
+    A, B = cartan_matrix(*first), cartan_matrix(*second)
+    a, b = len(A), len(B)
+    rs = build_from_cartan([row + [0] * b for row in A] + [[0] * a + row for row in B])
+    _assert_closure_invariants(rs)
+    padded = [v + (0,) * b for v in build_classical(*first).positive_roots]
+    padded += [(0,) * a + v for v in build_classical(*second).positive_roots]
+    assert rs.positive_roots == tuple(sorted(padded))
