@@ -15,6 +15,7 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -28,7 +29,6 @@ from .rootsystem import (
     SCALAR_DIVERGENCE_FACTOR,
     build_classical,
     build_from_cartan,
-    dh_weight,
     dimension,
 )
 from .specio import SCHEMA, SpecError, load_jobspec, load_potential, parse_polynomial
@@ -191,14 +191,11 @@ def _cmd_mabuchi(args) -> int:
     _write_report(report, args.out, args.no_meta)
     if args.residuals:
         grid = interior_grid(spec.polytope, args.grid)
-        residuals = el_residual(spec.root_system, u, a_fn or (lambda x: 0.0), np.array(grid))
+        residuals = el_residual(spec.root_system, u, a_fn, np.array(grid))
         with open(args.residuals, "w", encoding="utf-8") as fh:
-            header = ",".join("x%d" % (i + 1) for i in range(spec.polytope.dim))
-            fh.write(header + ",residual\n")
+            fh.write("".join("x%d," % (i + 1) for i in range(spec.polytope.dim)) + "residual\n")
             for pt, r in zip(grid, residuals):
-                fh.write(
-                    ",".join(_fmt_float(c) for c in pt) + "," + _fmt_float(r) + "\n"
-                )
+                fh.write(",".join(_fmt_float(c) for c in (*pt, r)) + "\n")
     print("F_A = %s  (error estimate %s)" % (_fmt_float(res.value), _fmt_float(res.error)))
     return 1 if res.flagged else 0
 
@@ -207,15 +204,14 @@ def _cmd_scalar(args) -> int:
     import numpy as np
 
     from .graded import graded_integral_array
-    from .mabuchi import interior_grid, scalar_curvature
+    from .mabuchi import _weight, interior_grid, scalar_curvature
 
     spec = load_jobspec(args.spec)
     u = _build_potential(spec, args.potential)
     grid = interior_grid(spec.polytope, args.grid)
     values = scalar_curvature(spec.root_system, u, np.array(grid))
-    p = dh_weight(spec.root_system)
     integral, err = graded_integral_array(
-        lambda x: scalar_curvature(spec.root_system, u, x) * p.evaluate_float(x),
+        lambda x: scalar_curvature(spec.root_system, u, x) * _weight(spec.root_system, x),
         spec.polytope,
         _quad_spec(args),
     )
@@ -238,7 +234,10 @@ def _cmd_scalar(args) -> int:
 
 def _cmd_dims(args) -> int:
     if args.cartan:
-        rs = build_from_cartan(json.loads(args.cartan))
+        try:
+            rs = build_from_cartan(json.loads(args.cartan))
+        except ValueError as exc:  # json.JSONDecodeError is a ValueError too
+            raise SpecError("--cartan: %s" % exc) from None
     else:
         if not args.series:
             raise SpecError("dims: need --series/--rank or --cartan")
@@ -315,6 +314,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # refuse an unwritable --out or --residuals before the job; create no file
+        for path in filter(None, (getattr(args, "out", None), getattr(args, "residuals", None))):
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                os.remove(path)
         return args.func(args)
     except (ValueError, OSError) as exc:  # input errors; OSError: an unwritable output path
         print("error: %s" % exc, file=sys.stderr)

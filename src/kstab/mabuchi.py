@@ -27,20 +27,23 @@ supported du.
 Potentials, scalar_curvature and el_residual take one point or an
 (m, n) array of points, through one code path that broadcasts over the
 leading axes. A potential builds its derivative tables once: for each order
-k <= 4, the perturbation's partial derivatives are one float exponent
-matrix and one coefficient matrix (one power product and one matmul
-evaluate them all); an order whose partials are all constants, such as a
-quadratic perturbation's Hessian, is kept as its one coefficient row and
-added as it is. The canonical part is w_k(l) @ c_k v_F^(xk) with the facet
-tensors flattened to (F, n^k). The weight p, q_{N-1}, dp and d2p come from
-one such table. The domain check is one reduction, min l_F > 0, which a NaN
-fails. S and el_residual make one pass over the facets per call: the
-facet values l_F(x) are computed and checked once and shared by hessian,
-d_hessian and d2_hessian. The positive-definiteness check is one stacked
-Cholesky factorization, whose diagonal also gives log det for the energy;
-S still inverts H afterwards (numpy has no Cholesky solve).
-mabuchi_eval evaluates its three integrands on whole chunks of the
-flattened graded rule.
+k = 0, 2, 3, 4, the perturbation's partials are one float exponent matrix
+and one coefficient matrix (one power product and one matmul evaluate them
+all), or one coefficient row when they are all constants, such as a
+quadratic perturbation's Hessian. The canonical part is w_k(l) @ c_k v_F^(xk)
+with the facet tensors flattened to (F, n^k). The domain check is one
+reduction, min l_F > 0, which a NaN fails. S and el_residual make one pass
+over the facets per call, sharing the checked l_F(x) between hessian,
+d_hessian and d2_hessian. H is checked positive definite by one stacked
+Cholesky factorization, which mabuchi_eval reuses for log det; S inverts H
+afterwards (numpy has no Cholesky solve). mabuchi_eval evaluates its
+integrands on whole chunks of the flattened graded rule.
+
+The weight W = p is never expanded: it is the product of l_a = <M^a, x>
+over the positive coroots, and with r_a = 1/l_a, q_{N-1}/p = sum_a |M^a| r_a,
+dp/p = sum_a r_a M^a and d2p/p = sum_{a != b} r_a r_b M^a M^bT, so p cancels
+from S, el_residual and f_G = 2 q_{N-1}/p. The vertices of P have positive
+coordinates and each M^a >= 0, so every l_a > 0 and every sum adds positive terms.
 
 A, the right-hand side of the critical-point equation, is None, a preset
 name (make_a_preset) or a callable. A callable receives an (m, n) array of
@@ -61,12 +64,7 @@ from .graded import evaluate_table, float_table, graded_boundary_integral, grade
 from .polynomial import MultivariatePolynomial
 from .polytope import RationalPolytope
 from .quadrature import GradedQuadratureSpec
-from .rootsystem import (
-    SCALAR_DIVERGENCE_FACTOR,
-    RootSystem,
-    dh_weight,
-    dh_weight_gradient_sum,
-)
+from .rootsystem import SCALAR_DIVERGENCE_FACTOR, RootSystem
 from .futaki import average_scalar, _require_match, _require_positive_chamber
 
 
@@ -150,18 +148,18 @@ class SymplecticPotential:
         n = polytope.dim
         eps = np.finfo(float).eps
         self._slack = 4 * (n + 1) ** 2 * eps * (np.abs(V) @ reach + np.abs(self._offsets))
-        # u_sigma's k-th derivative is w_k(l) @ c_k v_F^(xk), with v_F^(xk)
-        # flattened to (F, n^k), w_k = l log l, log l + 1, 1/l, 1/l^2, 1/l^3
-        # and c_k = 1/2, 1/2, 1/2, -1/2, 1 (all 0 when not canonical)
+        # u_sigma's k-th derivative, k = 0, 2, 3, 4, is w_k(l) @ c_k v_F^(xk),
+        # with v_F^(xk) flattened to (F, n^k), w_k = l log l, 1/l, 1/l^2, 1/l^3
+        # and c_k = 1/2, 1/2, -1/2, 1 (all 0 when not canonical)
         powers = [np.ones((len(V), 1))]
         for _ in range(4):
             powers.append((powers[-1][:, :, None] * V[:, None, :]).reshape(len(V), -1))
-        scales = (0.5, 0.5, 0.5, -0.5, 1.0) if canonical else (0.0,) * 5
-        self._facet_tensors = [c * a for c, a in zip(scales, powers)]
+        scales = (0.5, 0.5, -0.5, 1.0) if canonical else (0.0,) * 4
+        self._facet_tensors = {k: c * powers[k] for k, c in zip((0, 2, 3, 4), scales)}
         # the perturbation's k-th partials as one table; None when all vanish,
         # and the one coefficient row when all are constants (no power product)
         g = perturbation or MultivariatePolynomial(polytope.dim)
-        self._g = [_partials_term(float_table(_partials(g, order))) for order in range(5)]
+        self._g = {k: _partials_term(float_table(_partials(g, k))) for k in (0, 2, 3, 4)}
         self.hessian(np.array(interior_grid(polytope, 9)))  # raises when not PD
 
     def _l_values(self, x, allow_boundary: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -219,25 +217,21 @@ class SymplecticPotential:
         ls *= np.log(np.where(ls > 0, ls, 1.0))  # l log l -> 0 on the boundary
         return self._derivative(x, 0, ls)
 
-    def gradient(self, x) -> np.ndarray:
-        x, ls = self._l_values(x)
-        np.log(ls, out=ls)
-        ls += 1.0
-        return self._derivative(x, 1, ls)
-
     def hessian(self, x, l=None) -> np.ndarray:
         """Second derivatives, checked positive definite (PotentialError).
 
         l, when given, is l_F(x) from _l_values, already checked: it is
         neither recomputed nor written over, so that _divergence_pg shares
         one l between hessian, d_hessian and d2_hessian. Called alone, the
-        method computes and checks l itself. A perturbation order whose
-        partials are all constants is added as its one coefficient row.
+        method computes and checks l itself.
         """
+        return self.factored_hessian(x, l)[0]
+
+    def factored_hessian(self, x, l=None) -> tuple[np.ndarray, np.ndarray]:
+        """hessian's H and the Cholesky factor that checked it, for log det H."""
         x, l, out = self._facet_values(x, l)
         H = self._derivative(x, 2, np.reciprocal(l, out=out))
-        _cholesky(H, x)
-        return H
+        return H, _cholesky(H, x)
 
     def d_hessian(self, x, l=None) -> np.ndarray:
         """Third derivatives: [..., c, i, j] is d/dx_c of the Hessian entry (i, j).
@@ -283,33 +277,45 @@ def interior_grid(P: RationalPolytope, count: int) -> list[tuple[float, ...]]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _weight_data(rs: RootSystem):
-    """p, q_{N-1}, and one table whose columns are p, q_{N-1}, dp and d2p (C order)."""
-    p, q1 = dh_weight(rs), dh_weight_gradient_sum(rs)
-    return p, q1, float_table([p, q1] + _partials(p, 1) + _partials(p, 2))
+def _coroots(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float (N, n) matrix of the positive coroots M^a, their heights |M^a|, and 1 - I_N."""
+    M = np.array(rs.positive_roots, dtype=float)
+    return M, M.sum(axis=1), 1.0 - np.eye(len(M))
 
 
-def _divergence_pg(rs: RootSystem, u, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p(x), q_{N-1}(x) and sum_{j,k} d_j d_k (p u^{jk}) at x, assembled analytically.
+def _weight(rs: RootSystem, x: np.ndarray) -> np.ndarray:
+    """W(x) = p(x) = prod_a <M^a, x>, at a point or every row of an array."""
+    return np.prod(x @ _coroots(rs)[0].T, axis=-1)
+
+
+def _weight_jet(rs: RootSystem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q_{N-1}/p, dp/p and d2p/p at x, from r_a = 1/<M^a, x> (module docstring)."""
+    M, heights, others = _coroots(rs)
+    r = 1.0 / (x @ M.T)
+    rM = r[..., None] * M  # r_a M^a as [..., a, j]; (dp/p)(dp/p)^T - rM^T rM would cancel
+    return r @ heights, r @ M, rM.swapaxes(-1, -2) @ (others @ rM)
+
+
+def _divergence_pg(rs: RootSystem, u, x) -> tuple[np.ndarray, np.ndarray]:
+    """q_{N-1}/p and p^{-1} sum_{j,k} d_j d_k (p u^{jk}) at x, assembled analytically.
 
     With G = (u_jk)^{-1}, d_c G = -G (d_c u_jk) G and the third and fourth
-    derivatives u_(3), u_(4) of u, both fully symmetric, the sum is
+    derivatives u_(3), u_(4) of u, both fully symmetric, the second is
 
-        <d2p, G> - <2 dp - p t, G t> + p (|u_(3)|_G^2 - <G (x) G, u_(4)>)
+        <d2p/p, G> - <2 dp/p - t, G t> + |u_(3)|_G^2 - <G (x) G, u_(4)>
 
     with t_j = sum_{c,i} G_ci u_cij and |u_(3)|_G^2 the contraction of u_(3)
     with itself through G on all three index pairs; no second derivative of
-    G is formed. The facet values l_F(x) are computed and checked once, and
-    shared by the three derivative calls; the check comes first, so a point
-    outside the open polytope raises DomainError before p is evaluated.
+    G is formed. The facet values l_F(x) are computed and checked first, so a
+    point outside the open polytope raises DomainError before anything else,
+    and shared by the three derivative calls.
     """
     x, l = u._l_values(x)
     G = np.linalg.inv(u.hessian(x, l))
     n, batch = x.shape[-1], x.shape[:-1]
     T = u.d_hessian(x, l).reshape(batch + (n, n * n))  # u_cij as [c, (i j)]
     D = u.d2_hessian(x, l).reshape(batch + (n * n, n * n))  # u_cdij as [(c d), (i j)]
-    jet = evaluate_table(_weight_data(rs)[2], x)
-    pv, q1v, dp, d2p = jet[..., 0], jet[..., 1], jet[..., 2 : 2 + n], jet[..., 2 + n :]
+    q1p, dp_p, d2p_p = _weight_jet(rs, x)
     g = G.reshape(batch + (n * n,))
     GG = (G[..., :, None, :, None] * G[..., None, :, None, :]).reshape(D.shape)  # G_ci G_dj
     t = (g[..., None, :] @ T.reshape(batch + (n * n, n)))[..., 0, :]  # sum_{c,i} G_ci u_cij
@@ -317,18 +323,16 @@ def _divergence_pg(rs: RootSystem, u, x) -> tuple[np.ndarray, np.ndarray, np.nda
     # <g, T GG T^T> is |u_(3)|_G^2, and <g, D g> = <G (x) G, u_(4)> by symmetry
     u3 = (T @ GG @ T.swapaxes(-1, -2)).reshape(g.shape)
     u4 = (D @ g[..., None])[..., 0]
-    div = ((d2p + pv[..., None] * (u3 - u4)) * g).sum(axis=-1) - (
-        (2.0 * dp - pv[..., None] * t) * Gt
-    ).sum(axis=-1)
-    return pv, q1v, div
+    div = ((d2p_p.reshape(g.shape) + u3 - u4) * g).sum(axis=-1) - ((2.0 * dp_p - t) * Gt).sum(axis=-1)
+    return q1p, div
 
 
 def scalar_curvature(rs: RootSystem, u, x):
     """S(x) for the metric encoded by u, at a point or every row of an (m, n) array."""
     _require_match(rs, u.polytope)
     _require_positive_chamber(u.polytope)
-    pv, q1v, div = _divergence_pg(rs, u, x)
-    return (2.0 * q1v - SCALAR_DIVERGENCE_FACTOR * div) / pv
+    q1p, div = _divergence_pg(rs, u, x)
+    return 2.0 * q1p - SCALAR_DIVERGENCE_FACTOR * div
 
 
 def _a_values(A: Callable, x: np.ndarray):
@@ -343,9 +347,9 @@ def _a_values(A: Callable, x: np.ndarray):
 
 
 def el_residual(rs: RootSystem, u, A, x):
-    """Residual of the critical-point equation: -W^{-1}(W u^{jk})_{jk} - A."""
-    pv, _, div = _divergence_pg(rs, u, x)
-    return -div / pv - _a_values(A, np.asarray(x, dtype=float))
+    """Residual of the critical-point equation: -W^{-1}(W u^{jk})_{jk} - A, A None for 0."""
+    div = _divergence_pg(rs, u, x)[1]
+    return -div if A is None else -div - _a_values(A, np.asarray(x, dtype=float))
 
 
 def make_a_preset(rs: RootSystem, P: RationalPolytope, name: str) -> Callable:
@@ -358,17 +362,12 @@ def make_a_preset(rs: RootSystem, P: RationalPolytope, name: str) -> Callable:
     name = name.lower()
     if name == "zero":
         return lambda x: 0.0
-    p, q1, _ = _weight_data(rs)
-    a = float(average_scalar(rs, P))
-
-    def a_minus_fg(x):
-        return a - 2.0 * q1.evaluate_float(x) / p.evaluate_float(x)
-
-    if name == "paper":
-        return lambda x: 0.5 * a_minus_fg(x)
-    if name == "csc":
-        return lambda x: 2.0 * a_minus_fg(x)
-    raise ValueError("unknown A preset %r" % (name,))
+    if name not in ("paper", "csc"):
+        raise ValueError("unknown A preset %r" % (name,))
+    scale, a = 0.5 if name == "paper" else 2.0, float(average_scalar(rs, P))
+    M, heights, _ = _coroots(rs)
+    # f_G = 2 q_{N-1}/p = 2 sum_a |M^a| / <M^a, x>
+    return lambda x: scale * (a - 2.0 * ((1.0 / (np.asarray(x, dtype=float) @ M.T)) @ heights))
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +383,10 @@ class MabuchiResult:
 
 
 def _resolve_a(rs, P, A):
-    if A is None:
-        return None
-    if isinstance(A, str):
-        if A.lower() == "zero":
-            return None
-        return make_a_preset(rs, P, A)
-    return A
+    """None for None or 'zero', a preset for another name, else A itself."""
+    if not isinstance(A, str):
+        return A
+    return None if A.lower() == "zero" else make_a_preset(rs, P, A)
 
 
 def mabuchi_eval(
@@ -402,32 +398,30 @@ def mabuchi_eval(
     """Graded-quadrature value of the energy functional F_A(u).
 
     A is None, a preset name (see make_a_preset) or a callable that takes an
-    (m, n) array of nodes and returns m values or one scalar.
+    (m, n) array of nodes and returns m values or one scalar. Of u, only
+    polytope, value and factored_hessian are used.
     """
     P = u.polytope
     _require_match(rs, P)
     _require_positive_chamber(P)
     if spec is None:
         spec = GradedQuadratureSpec()
-    p = _weight_data(rs)[0]
     A_fn = _resolve_a(rs, P, A)
 
     def log_det_term(x):
-        L = _cholesky(u.hessian(x), x)
-        return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1) * p.evaluate_float(x)
+        L = u.factored_hessian(x)[1]
+        return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1) * _weight(rs, x)
 
     bulk, bulk_err = graded_integral_array(log_det_term, P, spec)
     boundary, boundary_err = graded_boundary_integral(
-        lambda x: u.value(x, allow_boundary=True) * p.evaluate_float(x), P, spec
+        lambda x: u.value(x, allow_boundary=True) * _weight(rs, x), P, spec
     )
 
-    if A_fn is None:
-        linear, linear_err = 0.0, 0.0
-    else:
-        def a_term(x):
-            return _a_values(A_fn, x) * u.value(x, allow_boundary=True) * p.evaluate_float(x)
-
-        linear, linear_err = graded_integral_array(a_term, P, spec)
+    linear, linear_err = 0.0, 0.0
+    if A_fn is not None:
+        linear, linear_err = graded_integral_array(
+            lambda x: _a_values(A_fn, x) * u.value(x, allow_boundary=True) * _weight(rs, x), P, spec
+        )
 
     value = -bulk + 2.0 * boundary - linear
     error = bulk_err + 2.0 * boundary_err + linear_err

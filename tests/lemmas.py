@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from kstab.futaki import _require_match, admissible_modulus, weighted_count_dk
-from kstab.mabuchi import SymplecticPotential, _resolve_a, _weight_data, el_residual, mabuchi_eval
+from kstab.mabuchi import SymplecticPotential, _cholesky, _resolve_a, el_residual, mabuchi_eval
 from kstab.polynomial import MultivariatePolynomial, as_fraction
 from kstab.polytope import GeometryError, PiecewiseAffine, RationalPolytope, _det
 from kstab.polytope import dilated_lattice_points, facet_chart
@@ -172,8 +172,9 @@ class _PerturbedPotential:
     def value(self, x, allow_boundary: bool = False):
         return self._base.value(x, allow_boundary) + self._eps * self._bump.value(x)
 
-    def hessian(self, x) -> np.ndarray:
-        return self._base.hessian(x) + self._eps * np.asarray(self._bump.hessian(x))
+    def factored_hessian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        H = self._base.hessian(x) + self._eps * np.asarray(self._bump.hessian(x))
+        return H, _cholesky(H, x)
 
 
 class CompactBump:
@@ -279,12 +280,12 @@ def variation_check(
     P = u.polytope
     if spec is None:
         spec = GradedQuadratureSpec()
-    A_fn = _resolve_a(rs, P, A) or (lambda x: 0.0)
+    A_fn = _resolve_a(rs, P, A)
     plus = mabuchi_eval(rs, _PerturbedPotential(u, du, +eps), A_fn, spec)
     minus = mabuchi_eval(rs, _PerturbedPotential(u, du, -eps), A_fn, spec)
     measured = (plus.value - minus.value) / (2.0 * eps)
 
-    p = _weight_data(rs)[0]
+    p = dh_weight(rs)
 
     def integrand(x):
         b = du.value(x)

@@ -236,8 +236,12 @@ def _exit_code(argv) -> int:
             id="spec-cartan-empty",
         ),
         pytest.param(
-            SU2_SPEC, ["dims", "--cartan", "[]", "--lambda", "1"], "Cartan matrix is empty",
+            SU2_SPEC, ["dims", "--cartan", "[]", "--lambda", "1"], "error: --cartan: Cartan matrix is empty",
             id="dims-cartan-empty",
+        ),
+        pytest.param(
+            SU2_SPEC, ["dims", "--cartan", "nope", "--lambda", "1"], "error: --cartan: Expecting value",
+            id="dims-cartan-not-json",
         ),
         pytest.param(
             _pick_h(2, [1.5, 0]),
@@ -418,6 +422,35 @@ def test_malformed_spec_exits_2(spec, argv, message, tmp_path, monkeypatch, caps
     assert _exit_code(argv) == 2
     assert time.perf_counter() - start < 1
     assert message in capsys.readouterr().err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the job ran before its output path was checked")
+
+
+@pytest.mark.parametrize(
+    "argv, pipeline, missing",
+    [
+        pytest.param(
+            ["futaki", "--spec", str(REPO / "specs/gate/a4_cube.json"), "--oracle", "--out", "missing/r.json"],
+            "kstab.cli.futaki_cross_check", "missing/r.json", id="a4-oracle-out",
+        ),
+        pytest.param(
+            ["mabuchi", "--spec", "spec.json", "--out", "r.json", "--residuals", "missing/r.csv"],
+            "kstab.mabuchi.mabuchi_eval", "missing/r.csv", id="mabuchi-residuals",
+        ),
+    ],
+)
+def test_unwritable_output_is_refused_before_the_job(argv, pipeline, missing, tmp_path, monkeypatch, capsys):
+    """An unwritable --out or --residuals exits 2 before the pipeline is
+    called, and a refused run leaves no file behind, not even a writable
+    --out checked first."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(SU2_SPEC))
+    monkeypatch.setattr(pipeline, _must_not_run)
+    assert _exit_code(argv) == 2
+    assert missing in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
 # Runs kstab.cli.main in a child whose address space is capped at 1 GiB, and

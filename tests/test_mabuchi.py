@@ -1,4 +1,5 @@
 """Potentials, scalar curvature, the energy functional and its variation."""
+import functools
 import math
 import random
 import warnings
@@ -6,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstab.polytope import RationalPolytope
 from kstab.polynomial import MultivariatePolynomial as Poly
@@ -17,6 +20,8 @@ from kstab.mabuchi import (
     DomainError,
     PotentialError,
     SymplecticPotential,
+    _weight,
+    _weight_jet,
     el_residual,
     interior_grid,
     mabuchi_eval,
@@ -69,6 +74,48 @@ def scalar_curvature_fd(rs, u, x, h=1e-3):
     return -0.5 * rich / pv + 2.0 * q1.evaluate_float(xf) / pv
 
 
+# -- the weight as a product of linear forms ----------------------------------
+
+WEIGHT_SERIES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G2", 2)]
+
+
+@functools.cache
+def _exact_weight_jet(series, rank):
+    """p, q_{N-1} and the first and second partials of p, expanded exactly."""
+    rs = build_classical(series, rank)
+    p = dh_weight(rs)
+    dp = [p.partial(j) for j in range(rank)]
+    return rs, p, dh_weight_gradient_sum(rs), dp, [[d.partial(k) for k in range(rank)] for d in dp]
+
+
+@st.composite
+def weight_points(draw):
+    """A root system and a rational point with positive coordinates, moved to
+    the float nearest it, so that the Fraction route sees the same point."""
+    series, rank = draw(st.sampled_from(WEIGHT_SERIES))
+    coords = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
+    x = np.array([float(t) for t in draw(st.lists(coords, min_size=rank, max_size=rank))])
+    return (series, rank), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_points())
+def test_product_weight_matches_the_expanded_polynomials(case):
+    """W, q_{N-1}/p, dp/p and d2p/p from the linear forms <M^a, x> agree with
+    dh_weight, dh_weight_gradient_sum and the exact partials of p, evaluated
+    in Fractions at the same point, to 1e-13 relative, entry by entry."""
+    (series, rank), x = case
+    rs, p, q1, dp, d2p = _exact_weight_jet(series, rank)
+    q = [Fraction(t) for t in x]
+    pv = p.evaluate(q)
+    q1p, dp_p, d2p_p = _weight_jet(rs, x)
+    pairs = [(_weight(rs, x), pv), (q1p, q1.evaluate(q) / pv)]
+    pairs += [(dp_p[j], dp[j].evaluate(q) / pv) for j in range(rank)]
+    pairs += [(d2p_p[j, k], d2p[j][k].evaluate(q) / pv) for j in range(rank) for k in range(rank)]
+    for got, want in pairs:
+        assert abs(Fraction(float(got)) - want) <= Fraction(1, 10**13) * abs(want), (got, float(want))
+
+
 # -- potential basics ---------------------------------------------------------
 
 def test_canonical_potential_closed_forms(interval_12):
@@ -97,7 +144,6 @@ def test_non_finite_points_are_outside(rs_a2, square_11_22, bad):
     u = SymplecticPotential(square_11_22, perturbation=Poly(2, {(2, 0): Fraction(1, 20)}))
     calls = (
         u.value,
-        u.gradient,
         u.hessian,
         u.d_hessian,
         u.d2_hessian,
@@ -117,13 +163,12 @@ def test_non_finite_points_are_outside(rs_a2, square_11_22, bad):
             u.value((bad, 1.5), allow_boundary=True)
 
 
-def test_potential_perturbation_and_gradient(interval_12):
+def test_potential_perturbation(interval_12):
     g = Poly(1, {(2,): Fraction(1, 10)})
     u = SymplecticPotential(interval_12, perturbation=g)
     x = 1.5
     base = SymplecticPotential(interval_12)
     assert u.value((x,)) == pytest.approx(base.value((x,)) + 0.1 * x * x, abs=1e-14)
-    assert u.gradient((x,))[0] == pytest.approx(base.gradient((x,))[0] + 0.2 * x, abs=1e-12)
     assert u.hessian((x,))[0, 0] == pytest.approx(base.hessian((x,))[0, 0] + 0.2, abs=1e-12)
 
 

@@ -196,7 +196,7 @@ def test_graded_matches_exact_on_random_triangles():
         }
         h = Poly(2, terms)
         exact = float(integral_polytope(h, T))
-        val, err = graded_integral(lambda p: h.evaluate_float(list(p)), T, spec)
+        val, err = graded_integral_array(h.evaluate_float, T, spec)
         assert abs(val - exact) <= max(err, 1e-12)  # floor covers pure rounding
         checked += 1
 

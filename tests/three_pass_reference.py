@@ -6,13 +6,15 @@ whose domain check is an elementwise ``l > 0`` and ``all``; each writes
 w_k(l) over the array it computed; and every nonvanishing order of the
 perturbation, constant or not, goes through a power product. divergence_pg,
 scalar_curvature and el_residual call the three methods on x alone. The fast
-route must give the same bits, and the same DomainError text.
+route must give the same bits, and the same DomainError text. Both routes
+take the weight's jet from kstab.mabuchi._weight_jet, so only the facet pass
+is compared here.
 """
 import numpy as np
 
 from kstab.futaki import _require_match, _require_positive_chamber
 from kstab.graded import evaluate_table, float_table
-from kstab.mabuchi import DomainError, SymplecticPotential, _a_values, _cholesky, _partials, _weight_data
+from kstab.mabuchi import DomainError, SymplecticPotential, _a_values, _cholesky, _partials, _weight_jet
 from kstab.polynomial import MultivariatePolynomial
 from kstab.rootsystem import SCALAR_DIVERGENCE_FACTOR
 
@@ -20,8 +22,8 @@ from kstab.rootsystem import SCALAR_DIVERGENCE_FACTOR
 class ThreePassPotential(SymplecticPotential):
     def __init__(self, polytope, perturbation=None, canonical=True):
         g = perturbation or MultivariatePolynomial(polytope.dim)
-        tables = [float_table(_partials(g, order)) for order in range(5)]
-        self._tables = [t if len(t[0]) else None for t in tables]
+        tables = {k: float_table(_partials(g, k)) for k in (0, 2, 3, 4)}
+        self._tables = {k: t if len(t[0]) else None for k, t in tables.items()}
         super().__init__(polytope, perturbation, canonical)
 
     def _l_values(self, x, allow_boundary=False):
@@ -64,33 +66,30 @@ class ThreePassPotential(SymplecticPotential):
 
 
 def divergence_pg(rs, u, x):
-    """p(x), q_{N-1}(x) and sum_{j,k} d_j d_k (p u^{jk}), as kstab.mabuchi._divergence_pg."""
+    """q_{N-1}/p and p^{-1} sum_{j,k} d_j d_k (p u^{jk}), as kstab.mabuchi._divergence_pg."""
     G = np.linalg.inv(u.hessian(x))
     x = np.asarray(x, dtype=float)
     n, batch = x.shape[-1], x.shape[:-1]
     T = u.d_hessian(x).reshape(batch + (n, n * n))
     D = u.d2_hessian(x).reshape(batch + (n * n, n * n))
-    jet = evaluate_table(_weight_data(rs)[2], x)
-    pv, q1v, dp, d2p = jet[..., 0], jet[..., 1], jet[..., 2 : 2 + n], jet[..., 2 + n :]
+    q1p, dp_p, d2p_p = _weight_jet(rs, x)
     g = G.reshape(batch + (n * n,))
     GG = (G[..., :, None, :, None] * G[..., None, :, None, :]).reshape(D.shape)
     t = (g[..., None, :] @ T.reshape(batch + (n * n, n)))[..., 0, :]
     Gt = (G @ t[..., None])[..., 0]
     u3 = (T @ GG @ T.swapaxes(-1, -2)).reshape(g.shape)
     u4 = (D @ g[..., None])[..., 0]
-    div = ((d2p + pv[..., None] * (u3 - u4)) * g).sum(axis=-1) - (
-        (2.0 * dp - pv[..., None] * t) * Gt
-    ).sum(axis=-1)
-    return pv, q1v, div
+    div = ((d2p_p.reshape(g.shape) + u3 - u4) * g).sum(axis=-1) - ((2.0 * dp_p - t) * Gt).sum(axis=-1)
+    return q1p, div
 
 
 def scalar_curvature(rs, u, x):
     _require_match(rs, u.polytope)
     _require_positive_chamber(u.polytope)
-    pv, q1v, div = divergence_pg(rs, u, x)
-    return (2.0 * q1v - SCALAR_DIVERGENCE_FACTOR * div) / pv
+    q1p, div = divergence_pg(rs, u, x)
+    return 2.0 * q1p - SCALAR_DIVERGENCE_FACTOR * div
 
 
 def el_residual(rs, u, A, x):
-    pv, _, div = divergence_pg(rs, u, x)
-    return -div / pv - _a_values(A, np.asarray(x, dtype=float))
+    div = divergence_pg(rs, u, x)[1]
+    return -div - _a_values(A, np.asarray(x, dtype=float))
