@@ -31,7 +31,7 @@ from .rootsystem import (
     build_from_cartan,
     dimension,
 )
-from .specio import SCHEMA, SpecError, load_jobspec, load_potential, parse_polynomial
+from .specio import SCHEMA, SpecError, load_jobspec
 
 CONVENTIONS = {
     "schema": SCHEMA,
@@ -146,9 +146,8 @@ def _cmd_futaki(args) -> int:
 
 def _cmd_pick(args) -> int:
     spec = load_jobspec(args.spec)
-    if "pick_h" in spec.options:
-        h = parse_polynomial(spec.options["pick_h"], "spec.options.pick_h", spec.polytope.dim)
-    else:
+    h = spec.pick_h
+    if h is None:
         # default test function: the sum of squares, strictly convex anywhere
         n = spec.polytope.dim
         xs = [MultivariatePolynomial.variable(n, i) for i in range(n)]
@@ -160,25 +159,17 @@ def _cmd_pick(args) -> int:
     return 0 if passed else 1
 
 
-def _build_potential(spec, potential_path: str | None):
-    from .mabuchi import SymplecticPotential
-
-    canonical, perturbation = spec.potential_canonical, spec.potential_perturbation
-    if potential_path:
-        canonical, perturbation = load_potential(potential_path, spec.polytope.dim)
-    return SymplecticPotential(
-        spec.polytope, perturbation=perturbation, canonical=canonical
-    )
-
-
 def _cmd_mabuchi(args) -> int:
     import numpy as np
 
-    from .mabuchi import _resolve_a, el_residual, interior_grid, mabuchi_eval
+    from .mabuchi import SymplecticPotential, _resolve_a, el_residual, interior_grid, mabuchi_eval
 
     spec = load_jobspec(args.spec)
-    u = _build_potential(spec, args.potential)
-    a_fn = _resolve_a(spec.root_system, spec.polytope, args.A)
+    try:
+        a_fn = _resolve_a(spec.root_system, spec.polytope, args.A)
+    except ValueError as exc:
+        raise SpecError("--A: %s" % exc) from None
+    u = SymplecticPotential(spec.polytope, spec.potential_perturbation, spec.potential_canonical)
     res = mabuchi_eval(spec.root_system, u, a_fn, _quad_spec(args))
     report = {
         "command": "mabuchi",
@@ -204,10 +195,10 @@ def _cmd_scalar(args) -> int:
     import numpy as np
 
     from .graded import graded_integral_array
-    from .mabuchi import _weight, interior_grid, scalar_curvature
+    from .mabuchi import SymplecticPotential, _weight, interior_grid, scalar_curvature
 
     spec = load_jobspec(args.spec)
-    u = _build_potential(spec, args.potential)
+    u = SymplecticPotential(spec.polytope, spec.potential_perturbation, spec.potential_canonical)
     grid = interior_grid(spec.polytope, args.grid)
     values = scalar_curvature(spec.root_system, u, np.array(grid))
     integral, err = graded_integral_array(
@@ -285,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mabuchi", help="evaluate the energy functional")
     p.add_argument("--spec", required=True)
-    p.add_argument("--potential", help="JSON potential file overriding the spec")
     p.add_argument("--A", default="zero", help="zero | paper | csc")
     p.add_argument("--residuals", help="write a CSV of critical-equation residuals")
     p.add_argument("--grid", type=_grid_size, default=100)
@@ -294,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scalar", help="scalar curvature on a grid plus the average identity")
     p.add_argument("--spec", required=True)
-    p.add_argument("--potential", help="JSON potential file overriding the spec")
     p.add_argument("--grid", type=_grid_size, default=100)
     add_common(p, quad=True)
     p.set_defaults(func=_cmd_scalar)
@@ -314,8 +303,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # refuse an unwritable --out or --residuals before the job; create no file
-        for path in filter(None, (getattr(args, "out", None), getattr(args, "residuals", None))):
+        # refuse an unwritable --out or --residuals, or one file named twice,
+        # before the job; create no file
+        paths = [p for p in (getattr(args, "out", None), getattr(args, "residuals", None)) if p]
+        if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+            raise SpecError("--out and --residuals name the same file %s" % paths[0])
+        for path in paths:
             existed = os.path.exists(path)
             open(path, "a").close()
             if not existed:

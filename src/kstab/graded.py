@@ -142,17 +142,17 @@ def _flags(P: RationalPolytope, face: frozenset, d: int) -> list[list[frozenset]
     return [[face] + tail for sub in _face_facets(P, face) for tail in _flags(P, sub, d - 1)]
 
 
-def _flag_rule(P: RationalPolytope, flags, cube, normal=None) -> tuple[np.ndarray, np.ndarray]:
-    """The collapsed-coordinate rule on each flag's simplex, concatenated.
+def _flag_rule(P: RationalPolytope, flags, normal=None) -> Callable:
+    """The map from a cube rule (partial products, weights) to the
+    collapsed-coordinate rule on each flag's simplex, concatenated.
 
     A flag F_d > ... > F_1 spans the simplex q_0 ... q_d: the centroids of
-    F_d ... F_2, then the ends of the edge F_1. The node of ``cube`` with
+    F_d ... F_2, then the ends of the edge F_1. The node of a cube rule with
     partial products u_1...u_k maps to q_0 + sum_k (u_1...u_k)(q_k - q_(k-1)),
     its weight scaled by |det D| for the rows D_k = q_k - q_(k-1), computed
-    exactly and rounded once. A facet with primitive normal v_F (d = n - 1)
-    takes the canonical measure |det [D; v_F]| / |v_F|^2 instead.
+    exactly and rounded once, here, for every level. A facet with primitive
+    normal v_F (d = n - 1) takes the canonical measure |det [D; v_F]| / |v_F|^2.
     """
-    partial, w = cube
     centroids = {face: _centroid(P, face) for face in {f for flag in flags for f in flag[:-1]}}
     origins, rows, scales = [], [], []
     for flag in flags:
@@ -164,17 +164,24 @@ def _flag_rule(P: RationalPolytope, flags, cube, normal=None) -> tuple[np.ndarra
             scales.append(float(abs(_det(D + [normal])) / sum(a * a for a in normal)))
         origins.append(q[0])
         rows.append(D)
-    x = partial @ np.array(rows, dtype=float)
-    x += np.array(origins, dtype=float)[:, None, :]
-    return x.reshape(-1, P.dim), (np.array(scales)[:, None] * w).ravel()
+    rows, origins = np.array(rows, dtype=float), np.array(origins, dtype=float)[:, None, :]
+    scales = np.array(scales)[:, None]
+
+    def place(partial: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = partial @ rows
+        x += origins
+        return x.reshape(-1, P.dim), (scales * w).ravel()
+
+    return place
 
 
 def _centroid(P: RationalPolytope, face: frozenset) -> tuple:
     return tuple(sum(c) / len(face) for c in zip(*(P.vertices[j] for j in face)))
 
 
-def _check_size(flags: int, spec: GradedQuadratureSpec, dim: int, where: str) -> None:
-    """Refuse a rule of more than MAX_QUADRATURE_NODES nodes before it is built."""
+def _check_size(P: RationalPolytope, flags: int, spec: GradedQuadratureSpec, dim: int) -> None:
+    """Refuse a rule on P, or on its facets if dim < P.dim, above MAX_QUADRATURE_NODES nodes."""
+    where = ("this" if dim == P.dim else "the facets of this") + " %d-dimensional polytope" % P.dim
     size = flags * ((2 * spec.depth + 2) * spec.nodes) ** dim
     if size > MAX_QUADRATURE_NODES:
         raise ValueError(
@@ -185,21 +192,15 @@ def _check_size(flags: int, spec: GradedQuadratureSpec, dim: int, where: str) ->
 
 
 def graded_rule(P: RationalPolytope, spec: GradedQuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (m, n) and weights (m,) of the boundary-graded rule on P.
-
-    P is the union of the simplices of its complete flags of faces P = F_n >
-    ... > F_1 (see _flag_rule), each the image of [0, 1]^n under its
-    collapsed-coordinate map. The 1D rule, composite Gauss on cuts halving
-    toward 0 and 1, is raised to its n-th tensor power once and pushed
-    through every flag's map: in the first coordinate it grades each
-    pyramid over a facet from the centroid, in the last each edge toward its
-    ends. The node count, #flags ((2 depth + 2) nodes)^n, is known from the
-    incidence before any array is built; above MAX_QUADRATURE_NODES it
-    raises ValueError naming the count.
+    """Nodes (m, n) and weights (m,) of the boundary-graded rule on P at one
+    level: the cube rule pushed through the map of every complete flag of
+    faces P = F_n > ... > F_1 (see _flag_rule). The node count, #flags
+    ((2 depth + 2) nodes)^n, is known from the incidence before any array is
+    built; above MAX_QUADRATURE_NODES it raises ValueError naming the count.
     """
     flags = _flags(P, frozenset(range(len(P.vertices))), P.dim)
-    _check_size(len(flags), spec, P.dim, "this %d-dimensional polytope" % P.dim)
-    return _flag_rule(P, flags, _cube_rule(spec, P.dim))
+    _check_size(P, len(flags), spec, P.dim)
+    return _flag_rule(P, flags)(*_cube_rule(spec, P.dim))
 
 
 def _weighted_sum(values: Callable, x: np.ndarray, w: np.ndarray) -> float:
@@ -218,6 +219,17 @@ def _weighted_sum(values: Callable, x: np.ndarray, w: np.ndarray) -> float:
     return math.fsum(parts)
 
 
+def _level_sums(values: Callable, P: RationalPolytope, blocks, d: int, spec) -> list[list]:
+    """The sums of ``values`` on the rule of each block (flags of a d-face,
+    normal), one list at ``spec.refined()`` and one at ``spec``: the value
+    and error estimate of every graded integral. Geometry is derived once."""
+    fine = spec.refined()
+    _check_size(P, sum(len(flags) for flags, _ in blocks), fine, d)
+    places = [_flag_rule(P, flags, normal) for flags, normal in blocks]
+    cubes = (_cube_rule(level, d) for level in (fine, spec))  # built per level, not both up front
+    return [[_weighted_sum(values, *place(*cube)) for place in places] for cube in cubes]
+
+
 def graded_integral_array(
     values: Callable[[np.ndarray], np.ndarray],
     P: RationalPolytope,
@@ -234,8 +246,8 @@ def graded_integral_array(
     """
     if spec is None:
         spec = GradedQuadratureSpec()
-    fine = _weighted_sum(values, *graded_rule(P, spec.refined()))
-    coarse = _weighted_sum(values, *graded_rule(P, spec))
+    flags = _flags(P, frozenset(range(len(P.vertices))), P.dim)
+    [fine], [coarse] = _level_sums(values, P, [(flags, None)], P.dim, spec)
     return fine, abs(fine - coarse)
 
 
@@ -257,15 +269,6 @@ def graded_boundary_integral(
     n = P.dim
     if n == 1:
         return _weighted_sum(values, np.array([[float(v[0])] for v in P.vertices]), np.ones(2)), 0.0
-    flags = [_flags(P, face, n - 1) for face in P.incidence]
-    fine = spec.refined()
-    _check_size(sum(map(len, flags)), fine, n - 1, "the facets of this %d-dimensional polytope" % n)
-    cubes = [_cube_rule(s, n - 1) for s in (fine, spec)]
-    parts, error = [], 0.0
-    for (normal, _), facet_flags in zip(P.facets, flags):
-        fine_sum, coarse_sum = (
-            _weighted_sum(values, *_flag_rule(P, facet_flags, cube, normal)) for cube in cubes
-        )
-        parts.append(fine_sum)
-        error += abs(fine_sum - coarse_sum)
-    return math.fsum(parts), error
+    blocks = [(_flags(P, face, n - 1), normal) for face, (normal, _) in zip(P.incidence, P.facets)]
+    fine, coarse = _level_sums(values, P, blocks, n - 1, spec)
+    return math.fsum(fine), sum(abs(f - c) for f, c in zip(fine, coarse))

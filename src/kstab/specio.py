@@ -1,14 +1,15 @@
 """Job spec files: parsing and validation.
 
 A job spec is a single JSON document describing the root system, the moment
-polytope and the optional degeneration / potential data. Every rational is a
-'p/q' string or an integer; floats are rejected so the exact pipeline never
-sees a rounded input.
+polytope and the optional degeneration, potential and ``options.pick_h``
+data: a job's only input, parsed and checked whole by ``load_jobspec``.
+Every rational is a 'p/q' string or an integer; floats are rejected so the
+exact pipeline never sees a rounded input.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomial import MultivariatePolynomial
@@ -166,7 +167,7 @@ class JobSpec:
     R: Fraction | None = None
     potential_perturbation: MultivariatePolynomial | None = None
     potential_canonical: bool = True
-    options: dict = field(default_factory=dict)
+    pick_h: MultivariatePolynomial | None = None
 
 
 def parse_jobspec(data) -> JobSpec:
@@ -187,6 +188,9 @@ def parse_jobspec(data) -> JobSpec:
     if "potential" in data:
         canonical, perturbation = parse_potential(data["potential"], "spec.potential", P.dim)
     options = _check_keys(data.get("options", {}), "spec.options", ("pick_h",))
+    pick_h = None
+    if "pick_h" in options:
+        pick_h = parse_polynomial(options["pick_h"], "spec.options.pick_h", P.dim)
     if rs.rank != P.dim:
         raise SpecError(
             "spec: root system rank %d does not match polytope dimension %d"
@@ -201,24 +205,16 @@ def parse_jobspec(data) -> JobSpec:
         R=R,
         potential_perturbation=perturbation,
         potential_canonical=canonical,
-        options=dict(options),
+        pick_h=pick_h,
     )
 
 
-def _load_json(path: str, kind: str):
+def load_jobspec(path: str) -> JobSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
-        raise SpecError("cannot read %s file %s: %s" % (kind, path, exc)) from None
+        raise SpecError("cannot read spec file %s: %s" % (path, exc)) from None
     except json.JSONDecodeError as exc:
-        raise SpecError("%s file %s: line %d: %s" % (kind, path, exc.lineno, exc.msg)) from None
-
-
-def load_jobspec(path: str) -> JobSpec:
-    return parse_jobspec(_load_json(path, "spec"))
-
-
-def load_potential(path: str, dim: int) -> tuple[bool, MultivariatePolynomial | None]:
-    """A potential file, as ``parse_potential`` reads it; fields are named after the path."""
-    return parse_potential(_load_json(path, "potential"), path, dim)
+        raise SpecError("spec file %s: line %d: %s" % (path, exc.lineno, exc.msg)) from None
+    return parse_jobspec(data)

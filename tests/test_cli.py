@@ -186,11 +186,21 @@ def _exit_code(argv) -> int:
             id="cartan-false-as-zero",
         ),
         pytest.param(
-            SU2_SPEC,
-            ["scalar", "--potential", "potential.json"],
-            "potential.json",
+            dict(SU2_SPEC, potential=[1, 2]),
+            ["scalar"],
+            "spec.potential: expected an object",
             id="potential-not-an-object",
         ),
+        pytest.param(
+            SU2_SPEC, ["scalar", "--potential", "spec.json"], "unrecognized arguments: --potential spec.json",
+            id="scalar-potential-option",
+        ),
+        pytest.param(
+            SU2_SPEC, ["mabuchi", "--potential", "spec.json"], "unrecognized arguments: --potential spec.json",
+            id="mabuchi-potential-option",
+        ),
+        pytest.param(SU2_SPEC, ["mabuchi", "--A", "nope"], "error: --A: unknown A preset 'nope'",
+                     id="A-unknown-preset"),
         pytest.param(SU2_SPEC, ["scalar", "--grid", "0"], "--grid", id="grid-0"),
         pytest.param(
             SU2_SPEC,
@@ -261,6 +271,15 @@ def _exit_code(argv) -> int:
             "spec.options.pick_h.nvars: expected 2, the polytope dimension, got 3",
             id="pick-h-nvars-mismatch",
         ),
+        *(
+            pytest.param(
+                dict(SU3_SPEC, options={"pick_h": {"nvars": 5, "terms": "junk"}}),
+                [command],
+                "spec.options.pick_h.nvars: expected 2, the polytope dimension, got 5",
+                id="pick-h-junk-" + command,
+            )
+            for command in ("futaki", "pick", "scalar", "mabuchi")  # each parses pick_h at load
+        ),
         pytest.param(
             dict(SU2_SPEC, potential={"canonical": "false"}),
             ["scalar"],
@@ -278,12 +297,6 @@ def _exit_code(argv) -> int:
             ["scalar"],
             "spec.potential: unknown key 'perturbaton'",
             id="unknown-key-potential",
-        ),
-        pytest.param(
-            SU2_SPEC,
-            ["scalar", "--potential", "spec.json"],
-            "spec.json: unknown key 'schema'",
-            id="unknown-key-potential-file",
         ),
         pytest.param(
             dict(SU3_SPEC, options={"pick_g": {}}),
@@ -415,7 +428,6 @@ def _exit_code(argv) -> int:
 def test_malformed_spec_exits_2(spec, argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spec.json").write_text(spec if isinstance(spec, str) else json.dumps(spec))
-    (tmp_path / "potential.json").write_text("[1, 2]")
     if argv[0] != "dims":
         argv = argv[:1] + ["--spec", "spec.json"] + argv[1:]
     start = time.perf_counter()
@@ -439,12 +451,17 @@ def _must_not_run(*args, **kwargs):
             ["mabuchi", "--spec", "spec.json", "--out", "r.json", "--residuals", "missing/r.csv"],
             "kstab.mabuchi.mabuchi_eval", "missing/r.csv", id="mabuchi-residuals",
         ),
+        pytest.param(
+            ["mabuchi", "--spec", "spec.json", "--out", "same.txt", "--residuals", "./same.txt"],
+            "kstab.mabuchi.mabuchi_eval", "--out and --residuals name the same file same.txt",
+            id="out-equals-residuals",
+        ),
     ],
 )
 def test_unwritable_output_is_refused_before_the_job(argv, pipeline, missing, tmp_path, monkeypatch, capsys):
-    """An unwritable --out or --residuals exits 2 before the pipeline is
-    called, and a refused run leaves no file behind, not even a writable
-    --out checked first."""
+    """An unwritable --out or --residuals, or one file named by both, exits 2
+    before the pipeline is called, and a refused run leaves no file behind,
+    not even a writable --out checked first."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spec.json").write_text(json.dumps(SU2_SPEC))
     monkeypatch.setattr(pipeline, _must_not_run)
@@ -707,20 +724,17 @@ def test_mabuchi_on_a_rational_quadrilateral(A, tmp_path):
     assert all(math.isfinite(float(report[k])) for k in ("value", "error_estimate"))
 
 
-def test_mabuchi_potential_override(su2_spec, tmp_path):
-    # a separate potential file wins over whatever the spec carries
-    pot = tmp_path / "u.json"
-    pot.write_text(
-        json.dumps(
-            {"canonical": True, "perturbation": {"nvars": 1, "terms": [{"exp": [1], "coef": "1/5"}]}}
-        )
-    )
+def test_mabuchi_spec_potential_perturbation(su2_spec, tmp_path):
+    # the spec's potential key carries the perturbation x/5
+    pert_spec = tmp_path / "su2_pert.json"
+    perturbation = {"nvars": 1, "terms": [{"exp": [1], "coef": "1/5"}]}
+    pert_spec.write_text(json.dumps(dict(SU2_SPEC, potential={"perturbation": perturbation})))
     out_base = tmp_path / "base.json"
     out_pert = tmp_path / "pert.json"
-    for target, extra in ((out_base, []), (out_pert, ["--potential", str(pot)])):
+    for spec, target in ((su2_spec, out_base), (pert_spec, out_pert)):
         code = main(
-            ["mabuchi", "--spec", su2_spec, "--quad-depth", "10", "--tol", "1e-4",
-             "--no-meta", "--out", str(target)] + extra
+            ["mabuchi", "--spec", str(spec), "--quad-depth", "10", "--tol", "1e-4",
+             "--no-meta", "--out", str(target)]
         )
         assert code == 0
     base = float(json.loads(out_base.read_text())["value"])

@@ -10,11 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import chart_reference as ref
-from kstab import polytope
+from kstab import graded, polytope
 from kstab.polynomial import MultivariatePolynomial as Poly
 from kstab.polytope import GeometryError, PiecewiseAffine, RationalPolytope, _det, triangulate
 from kstab.mabuchi import SymplecticPotential, mabuchi_eval
-from kstab.graded import graded_boundary_integral, graded_rule
+from kstab.graded import graded_boundary_integral, graded_integral_array, graded_rule
 from kstab.quadrature import GradedQuadratureSpec, boundary_integral_pl_poly, integral_polytope
 from kstab.rootsystem import build_classical
 
@@ -92,3 +92,34 @@ def test_graded_rules_build_no_chart_or_hull(monkeypatch):
     assert math.fsum(w.tolist()) == pytest.approx(1.0, rel=1e-13)
     assert boundary == pytest.approx(6.0, rel=1e-13)
     assert math.isfinite(energy.value)
+
+
+SQUARE = RationalPolytope.from_vertices([(1, 1), (2, 1), (1, 2), (2, 2)])
+CUBE = RationalPolytope.from_vertices(list(product((1, 2), repeat=3)))
+
+
+def _ones(x):
+    return np.ones(len(x))
+
+
+@pytest.mark.parametrize(
+    "job, dets",
+    [
+        pytest.param(lambda s: graded_integral_array(_ones, SQUARE, s), 4, id="square-bulk"),
+        pytest.param(lambda s: graded_boundary_integral(_ones, SQUARE, s), 4, id="square-boundary"),
+        pytest.param(lambda s: graded_integral_array(_ones, CUBE, s), 24, id="cube-bulk"),
+        pytest.param(lambda s: graded_boundary_integral(_ones, CUBE, s), 24, id="cube-boundary"),
+        pytest.param(
+            lambda s: mabuchi_eval(build_classical("A", 2), SymplecticPotential(SQUARE), "csc", s), 12,
+            id="square-mabuchi-csc",
+        ),
+    ],
+)
+def test_graded_integrals_derive_flag_geometry_once(job, dets, monkeypatch):
+    """One determinant per flag simplex per integral, shared by both levels:
+    4 flags on the square and its boundary, 24 on the cube and its boundary,
+    and three integrals in the csc energy."""
+    calls = []
+    monkeypatch.setattr(graded, "_det", lambda M: calls.append(M) or _det(M))
+    job(GradedQuadratureSpec(depth=2, nodes=3))
+    assert len(calls) == dets
