@@ -169,7 +169,7 @@ def _cmd_mabuchi(args) -> int:
         a_fn = _resolve_a(spec.root_system, spec.polytope, args.A)
     except ValueError as exc:
         raise SpecError("--A: %s" % exc) from None
-    u = SymplecticPotential(spec.polytope, spec.potential_perturbation, spec.potential_canonical)
+    u = SymplecticPotential(spec.polytope, spec.potential_perturbation)
     res = mabuchi_eval(spec.root_system, u, a_fn, _quad_spec(args))
     report = {
         "command": "mabuchi",
@@ -198,7 +198,7 @@ def _cmd_scalar(args) -> int:
     from .mabuchi import SymplecticPotential, _weight, interior_grid, scalar_curvature
 
     spec = load_jobspec(args.spec)
-    u = SymplecticPotential(spec.polytope, spec.potential_perturbation, spec.potential_canonical)
+    u = SymplecticPotential(spec.polytope, spec.potential_perturbation)
     grid = interior_grid(spec.polytope, args.grid)
     values = scalar_curvature(spec.root_system, u, np.array(grid))
     integral, err = graded_integral_array(
@@ -225,6 +225,8 @@ def _cmd_scalar(args) -> int:
 
 def _cmd_dims(args) -> int:
     if args.cartan:
+        if args.series or args.rank:
+            raise SpecError("dims: give either --series/--rank or --cartan, not both")
         try:
             rs = build_from_cartan(json.loads(args.cartan))
         except ValueError as exc:  # json.JSONDecodeError is a ValueError too
@@ -303,12 +305,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # refuse an unwritable --out or --residuals, or one file named twice,
-        # before the job; create no file
-        paths = [p for p in (getattr(args, "out", None), getattr(args, "residuals", None)) if p]
-        if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
-            raise SpecError("--out and --residuals name the same file %s" % paths[0])
-        for path in paths:
+        # refuse one file named twice by --spec, --out and --residuals, or an
+        # unwritable output, before the job; create no file, touch no spec
+        named = [(opt, getattr(args, opt[2:], None)) for opt in ("--spec", "--out", "--residuals")]
+        named = [(opt, path) for opt, path in named if path]
+        for i, (opt, path) in enumerate(named):
+            for first, first_path in named[:i]:
+                if os.path.realpath(first_path) == os.path.realpath(path):
+                    raise SpecError("%s and %s name the same file %s" % (first, opt, first_path))
+        for path in (path for opt, path in named if opt != "--spec"):
             existed = os.path.exists(path)
             open(path, "a").close()
             if not existed:

@@ -123,16 +123,10 @@ class SymplecticPotential:
     construction; a violation raises PotentialError.
     """
 
-    def __init__(
-        self,
-        polytope: RationalPolytope,
-        perturbation: MultivariatePolynomial | None = None,
-        canonical: bool = True,
-    ):
+    def __init__(self, polytope: RationalPolytope, perturbation: MultivariatePolynomial | None = None):
         if perturbation is not None and perturbation.nvars != polytope.dim:
             raise PotentialError("perturbation variable count != polytope dimension")
         self.polytope = polytope
-        self.canonical = canonical
         self.perturbation = perturbation
         try:
             V = np.array([[float(a) for a in v] for v, _ in polytope.facets])
@@ -150,12 +144,11 @@ class SymplecticPotential:
         self._slack = 4 * (n + 1) ** 2 * eps * (np.abs(V) @ reach + np.abs(self._offsets))
         # u_sigma's k-th derivative, k = 0, 2, 3, 4, is w_k(l) @ c_k v_F^(xk),
         # with v_F^(xk) flattened to (F, n^k), w_k = l log l, 1/l, 1/l^2, 1/l^3
-        # and c_k = 1/2, 1/2, -1/2, 1 (all 0 when not canonical)
+        # and c_k = 1/2, 1/2, -1/2, 1
         powers = [np.ones((len(V), 1))]
         for _ in range(4):
             powers.append((powers[-1][:, :, None] * V[:, None, :]).reshape(len(V), -1))
-        scales = (0.5, 0.5, -0.5, 1.0) if canonical else (0.0,) * 4
-        self._facet_tensors = {k: c * powers[k] for k, c in zip((0, 2, 3, 4), scales)}
+        self._facet_tensors = {k: c * powers[k] for k, c in zip((0, 2, 3, 4), (0.5, 0.5, -0.5, 1.0))}
         # the perturbation's k-th partials as one table; None when all vanish,
         # and the one coefficient row when all are constants (no power product)
         g = perturbation or MultivariatePolynomial(polytope.dim)

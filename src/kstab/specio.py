@@ -56,6 +56,8 @@ def parse_rational(value, where: str) -> Fraction:
 def parse_root_system(data, where: str = "root_system") -> RootSystem:
     _check_keys(data, where, ("series", "rank", "cartan"))
     if "cartan" in data:
+        if "series" in data or "rank" in data:
+            raise SpecError("%s: give either 'series'/'rank' or 'cartan', not both" % where)
         try:
             return build_from_cartan(data["cartan"])
         except ValueError as exc:
@@ -74,6 +76,8 @@ def parse_root_system(data, where: str = "root_system") -> RootSystem:
 
 def parse_polytope(data, where: str = "polytope") -> RationalPolytope:
     _check_keys(data, where, ("vertices", "halfspaces"))
+    if "vertices" in data and "halfspaces" in data:
+        raise SpecError("%s: give either 'vertices' or 'halfspaces', not both" % where)
     try:
         if "vertices" in data:
             pts = [
@@ -145,16 +149,12 @@ def parse_polynomial(data, where: str, dim: int) -> MultivariatePolynomial:
         raise SpecError("%s: %s" % (where, exc)) from None
 
 
-def parse_potential(data, where: str, dim: int) -> tuple[bool, MultivariatePolynomial | None]:
-    """A potential object: ``(canonical, perturbation)`` on a polytope of ``dim``."""
-    _check_keys(data, where, ("canonical", "perturbation"))
-    canonical = data.get("canonical", True)
-    if not isinstance(canonical, bool):
-        raise SpecError("%s.canonical: expected true or false, got %r" % (where, canonical))
-    perturbation = None
-    if "perturbation" in data:
-        perturbation = parse_polynomial(data["perturbation"], "%s.perturbation" % where, dim)
-    return canonical, perturbation
+def parse_potential(data, where: str, dim: int) -> MultivariatePolynomial | None:
+    """A potential object's perturbation g on a polytope of ``dim``: the potential is u_sigma + g."""
+    _check_keys(data, where, ("perturbation",))
+    if "perturbation" not in data:
+        return None
+    return parse_polynomial(data["perturbation"], "%s.perturbation" % where, dim)
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,6 @@ class JobSpec:
     pl_function: PiecewiseAffine | None = None
     R: Fraction | None = None
     potential_perturbation: MultivariatePolynomial | None = None
-    potential_canonical: bool = True
     pick_h: MultivariatePolynomial | None = None
 
 
@@ -184,9 +183,7 @@ def parse_jobspec(data) -> JobSpec:
     P = parse_polytope(data["polytope"])
     f = parse_pl_function(data["pl_function"]) if "pl_function" in data else None
     R = parse_rational(data["R"], "spec.R") if "R" in data else None
-    canonical, perturbation = True, None
-    if "potential" in data:
-        canonical, perturbation = parse_potential(data["potential"], "spec.potential", P.dim)
+    perturbation = parse_potential(data.get("potential", {}), "spec.potential", P.dim)
     options = _check_keys(data.get("options", {}), "spec.options", ("pick_h",))
     pick_h = None
     if "pick_h" in options:
@@ -204,7 +201,6 @@ def parse_jobspec(data) -> JobSpec:
         pl_function=f,
         R=R,
         potential_perturbation=perturbation,
-        potential_canonical=canonical,
         pick_h=pick_h,
     )
 

@@ -7,8 +7,7 @@ exactly), u = 1/2 sum_F l_F log l_F + g has, with l_F = <v_F, x> - c_F,
     d_c H_ij   = -1/2 sum_F v_c v_i v_j / l_F^2 + g_cij,
     d_cd H_ij  =      sum_F v_c v_d v_i v_j / l_F^3 + g_cdij
 
-(the canonical sums drop out for a potential without u_sigma), and
-G = H^{-1} by Gauss-Jordan elimination over Fractions. The derivatives of
+and G = H^{-1} by Gauss-Jordan elimination over Fractions. The derivatives of
 G take the textbook route
 
     d_c G   = -G (d_c H) G,
@@ -54,8 +53,8 @@ def _partial(g, index):
     return g
 
 
-def scalar_curvature(rs, polytope, perturbation, canonical, x) -> Fraction:
-    """S at x for u = (u_sigma if canonical) + perturbation, exactly."""
+def scalar_curvature(rs, polytope, perturbation, x) -> Fraction:
+    """S at x for u = u_sigma + perturbation, exactly."""
     n = polytope.dim
     x = tuple(Fraction(t) for t in x)
     ls = [sum(a * t for a, t in zip(v, x)) - c for v, c in polytope.facets]
@@ -68,12 +67,11 @@ def scalar_curvature(rs, polytope, perturbation, canonical, x) -> Fraction:
         out = {}
         for idx in product(range(n), repeat=order):
             total = _partial(g, sorted(idx)).evaluate(x)
-            if canonical:
-                for (v, _), l in zip(polytope.facets, ls):
-                    term = scale / l**power
-                    for i in idx:
-                        term *= v[i]
-                    total += term
+            for (v, _), l in zip(polytope.facets, ls):
+                term = scale / l**power
+                for i in idx:
+                    term *= v[i]
+                total += term
             out[idx] = total
         return out
 

@@ -57,48 +57,78 @@ def evaluate_float(h, x) -> float:
 # large entries; rounding in them cost up to 1.6e-12 of the value, even in long
 # double. So nodes and weights below the outermost level are exact rationals,
 # from the same float Gauss nodes and weights, and fn sees each node rounded.
+# Each rule keeps them as integer numerators over one node denominator and one
+# weight denominator, so no gcd is taken per node; int / int rounds correctly,
+# as float(Fraction) does.
 
-def graded_interval(a: Fraction, b: Fraction, spec: GradedQuadratureSpec) -> list:
-    """(node, weight) pairs of composite Gauss on cuts halving toward a and b."""
-    xs, ws = ([Fraction(t) for t in v.tolist()] for v in np.polynomial.legendre.leggauss(spec.nodes))
+def _over(values) -> tuple[list[int], int]:
+    """Rationals, or floats taken exactly, as integer numerators over their least common denominator."""
+    fracs = [Fraction(t) for t in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def graded_interval(a: Fraction, b: Fraction, spec: GradedQuadratureSpec) -> tuple[list, int, int]:
+    """Composite Gauss on cuts halving toward a and b: (node, weight)
+    numerator pairs, the node denominator and the weight denominator."""
+    (xs, xden), (ws, wden) = (_over(v.tolist()) for v in np.polynomial.legendre.leggauss(spec.nodes))
     mid = (a + b) / 2
     cuts = [a] + [a + (mid - a) / 2**j for j in range(spec.depth, 0, -1)] + [mid]
-    cuts += [b - (b - a) / 2 ** (j + 1) for j in range(1, spec.depth + 1)] + [b]
-    return [
-        ((hi + lo) / 2 + (hi - lo) / 2 * x, (hi - lo) / 2 * w)
+    cuts, cden = _over(cuts + [b - (b - a) / 2 ** (j + 1) for j in range(1, spec.depth + 1)] + [b])
+    # node (hi + lo)/2 + (hi - lo)/2 x and weight (hi - lo)/2 w, cuts over cden
+    pairs = [
+        ((hi + lo) * xden + (hi - lo) * x, (hi - lo) * w)
         for lo, hi in zip(cuts, cuts[1:])
         for x, w in zip(xs, ws)
     ]
+    return pairs, 2 * cden * xden, 2 * cden * wden
 
 
 def _facet_rules(P: RationalPolytope, spec: GradedQuadratureSpec):
-    """Per facet F of P, dimension >= 2: l_F(c) at the centroid c, and the
-    pairs (x - c, weight) of F's rule, built on its chart image one dimension
-    down and mapped back, exactly."""
+    """Per facet F of P, dimension >= 2: l_F(c) at the centroid c, and F's
+    rule built on its chart image one dimension down and mapped back,
+    exactly: pairs of numerators (x - c, weight) over their two denominators."""
     c = P.centroid()
     for i in range(len(P.facets)):
         chart = facet_chart(P, i)
         cols, shift = chart.unmap_affine_data()
+        cols, colden = _over([a for row in cols for a in row])
+        cols = [cols[r * (P.dim - 1):(r + 1) * (P.dim - 1)] for r in range(P.dim)]
+        offsets, oden = _over([sh - ci for sh, ci in zip(shift, c)])
+        nodes, yden, wden = graded_nodes(chart.image, spec)
+        # x - c = cols y + (shift - c), over colden * yden * oden
+        scale = colden * yden
         yield support_value(P, i, c), [
-            ([sh + sum(a * t for a, t in zip(row, y)) - ci for row, sh, ci in zip(cols, shift, c)], w)
-            for y, w in graded_nodes(chart.image, spec)
-        ]
+            ([oden * sum(a * t for a, t in zip(row, y)) + scale * o for row, o in zip(cols, offsets)], w)
+            for y, w in nodes
+        ], scale * oden, wden
 
 
-def graded_nodes(P: RationalPolytope, spec: GradedQuadratureSpec) -> list:
-    """Exact (node, weight) pairs of the rule: pyramids over the facets from
-    the centroid c, node c + s (x - c), weight l_F(c) w_s s^(n-1) w_x."""
+def graded_nodes(P: RationalPolytope, spec: GradedQuadratureSpec) -> tuple[list, int, int]:
+    """The exact rule: pyramids over the facets from the centroid c, node
+    c + s (x - c), weight l_F(c) w_s s^(n-1) w_x. Returns (node, weight)
+    numerator pairs, the node denominator and the weight denominator."""
     n = P.dim
     if n == 1:
         a, b = sorted(v[0] for v in P.vertices)
-        return [((x,), w) for x, w in graded_interval(a, b, spec)]
-    c = P.centroid()
-    return [
-        (tuple(ci + s * d for ci, d in zip(c, x)), height * ws * s ** (n - 1) * w)
-        for height, facet in _facet_rules(P, spec)
-        for s, ws in graded_interval(Fraction(0), Fraction(1), spec)
-        for x, w in facet
-    ]
+        pairs, xden, wden = graded_interval(a, b, spec)
+        return [((x,), w) for x, w in pairs], xden, wden
+    c, cden = _over(P.centroid())
+    radial, sden, wsden = graded_interval(Fraction(0), Fraction(1), spec)
+    facets = list(_facet_rules(P, spec))
+    heights, hden = _over([height for height, *_ in facets])
+    dden = math.lcm(*(d for *_, d, _ in facets))
+    fwden = math.lcm(*(w for *_, w in facets))
+    xden = math.lcm(cden, sden * dden)
+    nodes = []
+    for h, (_, facet, d, w) in zip(heights, facets):
+        dscale, wscale, cscale = xden // (sden * d), fwden // w, xden // cden
+        nodes += [
+            (tuple(cscale * ci + dscale * s * t for ci, t in zip(c, x)), h * ws * s ** (n - 1) * wscale * wx)
+            for s, ws in radial
+            for x, wx in facet
+        ]
+    return nodes, xden, hden * wsden * sden ** (n - 1) * fwden
 
 
 def graded_polytope(fn, P: RationalPolytope, spec: GradedQuadratureSpec) -> float:
@@ -106,12 +136,16 @@ def graded_polytope(fn, P: RationalPolytope, spec: GradedQuadratureSpec) -> floa
     radial map c + s (x - c), which takes no chart, runs in floats."""
     n = P.dim
     if n == 1:
-        return math.fsum(float(w) * fn((float(x),)) for (x,), w in graded_nodes(P, spec))
+        nodes, xden, wden = graded_nodes(P, spec)
+        return math.fsum(w / wden * fn((x / xden,)) for (x,), w in nodes)
     c = [float(t) for t in P.centroid()]
-    radial = [(float(s), float(ws)) for s, ws in graded_interval(Fraction(0), Fraction(1), spec)]
+    radial, sden, wsden = graded_interval(Fraction(0), Fraction(1), spec)
+    radial = [(s / sden, ws / wsden) for s, ws in radial]
     parts = []
-    for height, facet in _facet_rules(P, spec):
-        facet = [([float(d) for d in x], float(height * w)) for x, w in facet]
+    for height, facet, dden, wden in _facet_rules(P, spec):
+        height = Fraction(height)
+        wden *= height.denominator
+        facet = [([d / dden for d in x], height.numerator * w / wden) for x, w in facet]
         parts += [
             ws * s ** (n - 1) * w * fn(tuple(ci + s * d for ci, d in zip(c, x)))
             for s, ws in radial
@@ -158,9 +192,8 @@ def boundary_by_facet(values, P: RationalPolytope, spec: GradedQuadratureSpec) -
 class PointwisePotential:
     """u_sigma + perturbation, one point at a time, with per-facet sums."""
 
-    def __init__(self, polytope, perturbation=None, canonical=True):
+    def __init__(self, polytope, perturbation=None):
         self.polytope = polytope
-        self.canonical = canonical
         self.perturbation = perturbation
         n = polytope.dim
         g = perturbation
@@ -187,9 +220,7 @@ class PointwisePotential:
         ls = self._ls(x)
         if any(l < 0 for l in ls) or (not allow_boundary and any(l == 0 for l in ls)):
             raise ValueError("point %r is outside the polytope" % (x,))
-        total = 0.0
-        if self.canonical:
-            total += 0.5 * pairwise_sum([l * math.log(l) if l > 0 else 0.0 for l in ls])
+        total = 0.5 * pairwise_sum([l * math.log(l) if l > 0 else 0.0 for l in ls])
         if self.perturbation is not None:
             total += evaluate_float(self.perturbation, x)
         return total
@@ -198,9 +229,8 @@ class PointwisePotential:
         ls = self._ls(x)
         n = self.polytope.dim
         H = np.zeros((n, n))
-        if self.canonical:
-            for (v, _), l in zip(self._facets, ls):
-                H += 0.5 * np.outer(v, v) / l
+        for (v, _), l in zip(self._facets, ls):
+            H += 0.5 * np.outer(v, v) / l
         if self._d is not None:
             H += np.array([[evaluate_float(q, x) for q in row] for row in self._d[1]])
         try:
@@ -213,10 +243,9 @@ class PointwisePotential:
         ls = self._ls(x)
         n = self.polytope.dim
         out = [np.zeros((n, n)) for _ in range(n)]
-        if self.canonical:
-            for (v, _), l in zip(self._facets, ls):
-                for c in range(n):
-                    out[c] -= 0.5 * np.outer(v, v) * v[c] / l**2
+        for (v, _), l in zip(self._facets, ls):
+            for c in range(n):
+                out[c] -= 0.5 * np.outer(v, v) * v[c] / l**2
         if self._d is not None:
             for c in range(n):
                 out[c] += np.array(
@@ -228,11 +257,10 @@ class PointwisePotential:
         ls = self._ls(x)
         n = self.polytope.dim
         out = [[np.zeros((n, n)) for _ in range(n)] for _ in range(n)]
-        if self.canonical:
-            for (v, _), l in zip(self._facets, ls):
-                for c in range(n):
-                    for d in range(n):
-                        out[c][d] += np.outer(v, v) * v[c] * v[d] / l**3
+        for (v, _), l in zip(self._facets, ls):
+            for c in range(n):
+                for d in range(n):
+                    out[c][d] += np.outer(v, v) * v[c] * v[d] / l**3
         if self._d is not None:
             for c in range(n):
                 for d in range(n):

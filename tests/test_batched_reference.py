@@ -153,10 +153,8 @@ def potentials(draw):
     exps = st.tuples(*[st.integers(0, 4)] * n).filter(lambda e: sum(e) <= 4)
     coef = st.fractions(min_value=-1, max_value=1, max_denominator=40).map(lambda c: c / 40)
     g = Poly(n, draw(st.dictionaries(exps, coef, max_size=5)))
-    perturbation = None if g.is_zero else g
-    canonical = perturbation is None or draw(st.booleans())
     try:
-        u = SymplecticPotential(P, perturbation=perturbation, canonical=canonical)
+        u = SymplecticPotential(P, perturbation=None if g.is_zero else g)
     except PotentialError:
         assume(False)
     # interior points, some within 1e-3 of the boundary
@@ -174,7 +172,7 @@ def potentials(draw):
 @given(potentials())
 def test_batched_potential_matches_pointwise(case):
     u, pts, verts, rs = case
-    r = ref.PointwisePotential(u.polytope, u.perturbation, u.canonical)
+    r = ref.PointwisePotential(u.polytope, u.perturbation)
     try:
         hessians = [r.hessian(tuple(p)) for p in pts]
     except PotentialError:

@@ -281,10 +281,28 @@ def _exit_code(argv) -> int:
             for command in ("futaki", "pick", "scalar", "mabuchi")  # each parses pick_h at load
         ),
         pytest.param(
-            dict(SU2_SPEC, potential={"canonical": "false"}),
+            dict(SU2_SPEC, potential={"canonical": True}),
             ["scalar"],
-            "spec.potential.canonical: expected true or false, got 'false'",
-            id="canonical-string",
+            "spec.potential: unknown key 'canonical'",
+            id="canonical-key",
+        ),
+        pytest.param(
+            dict(SU3_SPEC, root_system={"series": "B", "rank": 2, "cartan": [[2, -1], [-1, 2]]}),
+            ["futaki"],
+            "root_system: give either 'series'/'rank' or 'cartan', not both",
+            id="root-system-two-routes",
+        ),
+        pytest.param(
+            dict(SU2_SPEC, polytope={"vertices": [["1"], ["2"]], "halfspaces": [{"normal": ["1"], "offset": "5"}]}),
+            ["futaki"],
+            "polytope: give either 'vertices' or 'halfspaces', not both",
+            id="polytope-two-routes",
+        ),
+        pytest.param(
+            SU2_SPEC,
+            ["dims", "--series", "B", "--rank", "2", "--cartan", "[[2,-1],[-1,2]]", "--lambda", "1,0"],
+            "dims: give either --series/--rank or --cartan, not both",
+            id="dims-two-routes",
         ),
         pytest.param(
             dict(SU2_SPEC, potentail={"canonical": False}),
@@ -456,18 +474,33 @@ def _must_not_run(*args, **kwargs):
             "kstab.mabuchi.mabuchi_eval", "--out and --residuals name the same file same.txt",
             id="out-equals-residuals",
         ),
+        pytest.param(
+            ["futaki", "--spec", "spec.json", "--out", "spec.json", "--no-meta"],
+            "kstab.cli.closed_form_report", "--spec and --out name the same file spec.json",
+            id="out-equals-spec",
+        ),
+        pytest.param(
+            ["mabuchi", "--spec", "spec.json", "--out", "r.json", "--residuals", "./spec.json"],
+            "kstab.mabuchi.mabuchi_eval", "--spec and --residuals name the same file spec.json",
+            id="residuals-equals-spec",
+        ),
     ],
 )
 def test_unwritable_output_is_refused_before_the_job(argv, pipeline, missing, tmp_path, monkeypatch, capsys):
-    """An unwritable --out or --residuals, or one file named by both, exits 2
-    before the pipeline is called, and a refused run leaves no file behind,
-    not even a writable --out checked first."""
+    """An unwritable --out or --residuals, or one file named twice by --spec,
+    --out and --residuals, exits 2 before the pipeline is called, and a
+    refused run leaves no file behind, not even a writable --out checked
+    first, and the spec file as it was."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "spec.json").write_text(json.dumps(SU2_SPEC))
+    spec_text = json.dumps(SU2_SPEC)
+    (tmp_path / "spec.json").write_text(spec_text)
     monkeypatch.setattr(pipeline, _must_not_run)
+    start = time.perf_counter()
     assert _exit_code(argv) == 2
+    assert time.perf_counter() - start < 1
     assert missing in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+    assert (tmp_path / "spec.json").read_text() == spec_text
 
 
 # Runs kstab.cli.main in a child whose address space is capped at 1 GiB, and

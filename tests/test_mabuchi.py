@@ -4,7 +4,9 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,9 @@ from hypothesis import strategies as st
 from kstab.polytope import RationalPolytope
 from kstab.polynomial import MultivariatePolynomial as Poly
 from kstab.graded import graded_integral_array
-from kstab.quadrature import GradedQuadratureSpec, boundary_integral, integral_polytope
+from kstab.quadrature import GradedQuadratureSpec
 from kstab.rootsystem import build_classical, dh_weight, dh_weight_gradient_sum
+from kstab import mabuchi
 from kstab.futaki import average_scalar, volume_w
 from kstab.mabuchi import (
     DomainError,
@@ -28,9 +31,12 @@ from kstab.mabuchi import (
     make_a_preset,
     scalar_curvature,
 )
+from kstab.specio import load_jobspec
+from box_energy_reference import DPS, Axis, box_energy
 from incidence_reference import support_value
 from lemmas import CompactBump, ScaledBump, variation_check
 
+REPO = Path(__file__).resolve().parent.parent
 SPEC = GradedQuadratureSpec(depth=12, nodes=10, tol=1e-6)
 FAST = GradedQuadratureSpec(depth=8, nodes=8, tol=1e-4)
 
@@ -170,14 +176,6 @@ def test_potential_perturbation(interval_12):
     base = SymplecticPotential(interval_12)
     assert u.value((x,)) == pytest.approx(base.value((x,)) + 0.1 * x * x, abs=1e-14)
     assert u.hessian((x,))[0, 0] == pytest.approx(base.hessian((x,))[0, 0] + 0.2, abs=1e-12)
-
-
-def test_pure_polynomial_potential(interval_12):
-    # canonical part switched off: u is just the perturbation
-    g = Poly(1, {(2,): Fraction(1, 2)})
-    u = SymplecticPotential(interval_12, perturbation=g, canonical=False)
-    assert u.value((1.5,)) == pytest.approx(0.5 * 1.5**2, abs=1e-15)
-    assert u.hessian((1.5,))[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_non_pd_perturbation_rejected(interval_12):
@@ -455,27 +453,111 @@ def test_callable_a_of_the_wrong_shape_is_refused(rs_a1, interval_12):
         mabuchi_eval(rs_a1, u, lambda x: 12 * x[0], FAST)
 
 
+# -- exact energies on boxes --------------------------------------------------
+
+# Exact F_A of u_sigma with A = zero, and with csc on su3_square, to 20
+# digits, as ROADMAP "Evidence" records them.
+EVIDENCE = {
+    ("su2_interval", "zero"): "-1.9602792291600820359",
+    ("su3_square", "zero"): "-32.879272805494099001",
+    ("su3_square", "csc"): "-4.15903471025600376340",
+    ("b2_box_half", "zero"): "-1.8473854247742497197",
+    ("g2_box", "zero"): "4925.4650644674584479",
+    ("rational/b2_box", "zero"): "-88.352351090979565123",
+    ("a3_cube", "zero"): "-1641.1253231953853248",
+}
+
+
+def _check_against_exact(rs, u, A, spec, c, monkeypatch) -> mpmath.mpf:
+    """mabuchi_eval's value and each of its terms lie within their error
+    estimates of the exact energy of u = u_sigma + sum_i c_i x_i^2 on the box
+    u.polytope; returns that energy. A term's estimate is the one of the
+    graded integral behind it, recorded as mabuchi_eval makes it."""
+    calls = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn(*args, **kwargs))
+            return calls[-1]
+        return wrapper
+
+    for name in ("graded_integral_array", "graded_boundary_integral"):
+        monkeypatch.setattr(mabuchi, name, recorded(getattr(mabuchi, name)))
+    res = mabuchi_eval(rs, u, A, spec)
+    (bulk, bulk_err), (boundary, boundary_err), *linear = calls
+    linear, linear_err = linear[0] if linear else (0.0, 0.0)
+    estimates = {
+        "log_det": (-bulk, bulk_err),
+        "boundary": (2.0 * boundary, 2.0 * boundary_err),
+        "linear": (-linear, linear_err),
+    }
+    assert {key: value for key, (value, _) in estimates.items()} == res.terms
+    P = u.polytope
+    sides = [(min(v[i] for v in P.vertices), max(v[i] for v in P.vertices)) for i in range(P.dim)]
+    exact = {key: term.value() for key, term in box_energy(rs.positive_roots, sides, c, A).items()}
+    for key, (value, error) in estimates.items():
+        assert abs(value - exact[key]) <= error, (key, value, exact[key], error)
+    with mpmath.workdps(DPS):
+        total = sum(exact.values())
+    assert abs(res.value - total) <= res.error, (res.value, total, res.error)
+    return total
+
+
 @pytest.mark.parametrize(
     "series, vertices",
     [("A", [[1, 1], ["3/2", 1], [1, 2], ["3/2", 2]]), ("B", [["1/2", 1], [2, 1], ["1/2", 2], [2, 2]])],
     ids=["a2-rational-square", "b2-rational-box"],
 )
-def test_energy_on_a_rational_polygon_matches_exact(series, vertices):
-    """With u = g = x^2/2 + y^2/3 + xy/10 and A = zero the energy is exact:
-    F_A = -log det(Hess g) int_P p + 2 int_bd g p dsigma, with det Hess g =
-    197/300 and both integrals exact on a rational polygon. The float value
-    lies within its error estimate of it, or within rounding."""
+def test_energy_on_a_rational_polygon_matches_exact(series, vertices, monkeypatch):
+    """u = u_sigma + x^2/2 + y^2/3 and A = zero on two rational boxes, at
+    depth 3 with 4 nodes: the value and each term lie within their error
+    estimates of the exact energy (box_energy_reference, mpmath for the
+    perturbed log det)."""
     P = RationalPolytope.from_vertices(vertices)
-    rs = build_classical(series, 2)
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
-    g = x * x * Fraction(1, 2) + y * y * Fraction(1, 3) + x * y * Fraction(1, 10)
-    p = dh_weight(rs)
-    log_det = -math.log(Fraction(197, 300)) * float(integral_polytope(p, P))
-    boundary = 2.0 * float(boundary_integral(g * p, P))
-    u = SymplecticPotential(P, perturbation=g, canonical=False)
-    res = mabuchi_eval(rs, u, "zero", GradedQuadratureSpec(depth=3, nodes=4))
-    scale = abs(log_det) + abs(boundary)
-    assert abs(res.value - (log_det + boundary)) <= max(res.error, 1e-12 * scale)
+    u = SymplecticPotential(P, perturbation=x * x * Fraction(1, 2) + y * y * Fraction(1, 3))
+    spec = GradedQuadratureSpec(depth=3, nodes=4)
+    _check_against_exact(build_classical(series, 2), u, "zero", spec, [Fraction(1, 2), Fraction(1, 3)], monkeypatch)
+
+
+def test_box_reference_matches_numerical_quadrature():
+    """The reference's 1D integrals, in closed form, against mpmath's
+    tanh-sinh quadrature of the integrands, with c = 0 and c > 0."""
+    for a, b, c in ((Fraction(1), Fraction(3, 2), Fraction(0)), (Fraction(1, 2), Fraction(2), Fraction(1, 3))):
+        axis = Axis(a, b, c)
+        with mpmath.workdps(DPS):
+            a, b, c = (mpmath.mpf(t.numerator) / t.denominator for t in (a, b, c))
+
+            def log_det(t):
+                return mpmath.log((b - a) / (2 * (t - a) * (b - t)) + 2 * c)
+
+            def u(t):
+                return ((t - a) * mpmath.log(t - a) + (b - t) * mpmath.log(b - t)) / 2 + c * t * t
+
+            for k in range(4):
+                for closed, f in ((axis.log_det_moment(k), log_det), (axis.u_moment(k), u)):
+                    assert abs(closed.value() - mpmath.quad(lambda t: t**k * f(t), [a, b])) < 1e-25
+
+
+@pytest.mark.parametrize(
+    "name, A",
+    [
+        *((name, A) for name in ("su2_interval", "su3_square", "b2_box_half", "g2_box", "rational/b2_box")
+          for A in ("zero", "paper", "csc")),
+        ("a3_cube", "zero"),  # 0.5 s; paper and csc would add 0.8 s each
+    ],
+)
+def test_energy_on_shipped_boxes_matches_exact(name, A, monkeypatch):
+    """u_sigma on the shipped specs of specs/ and specs/rational/ (all
+    boxes), at depth 2 with 3 nodes: the value and each term lie within
+    their error estimates of the exact energy, which is exact in Fractions
+    and logs of rationals and matches EVIDENCE."""
+    spec = load_jobspec(str(REPO / "specs" / ("%s.json" % name)))
+    u = SymplecticPotential(spec.polytope)
+    total = _check_against_exact(spec.root_system, u, A, GradedQuadratureSpec(depth=2, nodes=3), None, monkeypatch)
+    if (name, A) in EVIDENCE:
+        with mpmath.workdps(DPS):
+            assert abs(total - mpmath.mpf(EVIDENCE[name, A])) <= 1e-18 * abs(total)
 
 
 @pytest.mark.parametrize("A", ["zero", "csc"])

@@ -53,8 +53,7 @@ def kernel_cases(draw, max_dim=3):
         for _ in range(draw(st.integers(0, 3))):
             terms[_monomial(draw, n, draw(st.integers(0, degree)))] = draw(coef)
         perturbation = Poly(n, terms)
-    canonical = perturbation is None or degree != 2 or draw(st.booleans(), label="canonical")
-    return rs, P, perturbation, canonical
+    return rs, P, perturbation
 
 
 def _interior_points(draw, P, count):
@@ -116,24 +115,24 @@ SQUARE_POINTS = np.array([[1.5, 1.25], [1.0001, 1.9], [1.3, 1.7]])
 @settings(max_examples=50, deadline=None)
 @given(oracle_cases())
 @example(
-    ((build_classical("A", 2), SQUARE, QUADRATIC, True),
+    ((build_classical("A", 2), SQUARE, QUADRATIC),
      ((1.25, 1.5), SQUARE_POINTS, np.insert(SQUARE_POINTS, 1, [1.0, 1.0], axis=0), (1.0, 1.0))),
 ).via("the float-quadrature potential; l_F = 0 exactly at a vertex")
 @example(
     ((build_classical("A", 1), RationalPolytope.from_vertices([[1], [3]]),
-      Poly(1, {(3,): Fraction(1, 200)}), True),
+      Poly(1, {(3,): Fraction(1, 200)})),
      ((2.5,), np.array([[1.5], [2.999]]), np.array([[1.5], [np.nan], [2.999]]), (np.nan,))),
 ).via("a cubic: orders 1 and 2 have one monomial each, and it is not constant")
 def test_one_facet_pass_matches_three_passes(case):
-    (rs, P, perturbation, canonical), inputs = case
+    (rs, P, perturbation), inputs = case
     try:
-        old = ref.ThreePassPotential(P, perturbation, canonical)
+        old = ref.ThreePassPotential(P, perturbation)
     except PotentialError as exc:
         with pytest.raises(PotentialError) as info:
-            SymplecticPotential(P, perturbation, canonical)
+            SymplecticPotential(P, perturbation)
         assert str(info.value) == str(exc)
         return
-    new = SymplecticPotential(P, perturbation, canonical)
+    new = SymplecticPotential(P, perturbation)
 
     def A(x):
         return x[..., 0] - 1.0
@@ -195,22 +194,22 @@ def _toward(P, target, ts):
 @given(exact_cases())
 @example(
     ((build_classical("B", 2), B2_QUAD,
-      Poly(2, {(3, 0): Fraction(1, 120), (1, 2): Fraction(-1, 200), (2, 0): Fraction(1, 40)}), True),
+      Poly(2, {(3, 0): Fraction(1, 120), (1, 2): Fraction(-1, 200), (2, 0): Fraction(1, 40)})),
      _toward(B2_QUAD, (1.7, 1.6), [0.5, 0.9999])),
 ).via("a B2 quadrilateral with a cubic perturbation, up to l = 1e-4 from an edge")
 @example(
-    ((build_classical("A", 3), A3_SIMPLEX, None, True), _toward(A3_SIMPLEX, (1.5, 1.5, 2), [0.0, 0.999])),
+    ((build_classical("A", 3), A3_SIMPLEX, None), _toward(A3_SIMPLEX, (1.5, 1.5, 2), [0.0, 0.999])),
 ).via("toward the middle of an edge of an A3 simplex, where S loses digits as 1/l^3")
 def test_scalar_curvature_error_against_exact(case):
-    (rs, P, perturbation, canonical), x = case
+    (rs, P, perturbation), x = case
     try:
-        s = scalar_curvature(rs, SymplecticPotential(P, perturbation, canonical), x)
+        s = scalar_curvature(rs, SymplecticPotential(P, perturbation), x)
     except PotentialError:
         assume(False)
     p, q1 = dh_weight(rs), dh_weight_gradient_sum(rs)
     for point, value in zip(x, s):
         q = tuple(Fraction(t) for t in point)  # the float point, exactly
-        expected = float(exact.scalar_curvature(rs, P, perturbation, canonical, q))
+        expected = float(exact.scalar_curvature(rs, P, perturbation, q))
         lam = _relative_l(P, q)
         f_g = float(2 * q1.evaluate(q) / p.evaluate(q))
         scale = abs(f_g) + abs(f_g - expected)

@@ -20,11 +20,11 @@ from kstab.rootsystem import SCALAR_DIVERGENCE_FACTOR
 
 
 class ThreePassPotential(SymplecticPotential):
-    def __init__(self, polytope, perturbation=None, canonical=True):
+    def __init__(self, polytope, perturbation=None):
         g = perturbation or MultivariatePolynomial(polytope.dim)
         tables = {k: float_table(_partials(g, k)) for k in (0, 2, 3, 4)}
         self._tables = {k: t if len(t[0]) else None for k, t in tables.items()}
-        super().__init__(polytope, perturbation, canonical)
+        super().__init__(polytope, perturbation)
 
     def _l_values(self, x, allow_boundary=False):
         x = np.asarray(x, dtype=float)
